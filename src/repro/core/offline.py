@@ -62,21 +62,14 @@ def offline_exhaustive_search(
     """
     target = machine if machine is not None else i7_860()
     by_mtl: Dict[int, SimulationResult] = {}
-    if noise_factory is None:
-        # Noise-free runs share one simulator and one pre-built task
-        # graph: tasks are frozen and the work queue is rebuilt per
-        # run, so results are unchanged, while the rate calculator's
-        # snapshot memo stays warm across the whole MTL range.
-        simulator = Simulator(target)
-        graph = program.to_task_graph()
-        for mtl in range(1, target.context_count + 1):
-            by_mtl[mtl] = simulator.run_graph(
-                graph, FixedMtlPolicy(mtl), program.name
-            )
-    else:
-        for mtl in range(1, target.context_count + 1):
+    # Noise-free runs share one simulator, so the rate calculator's
+    # snapshot memo stays warm across the whole MTL range; noisy runs
+    # each get their own noise stream.  All share the program's graph.
+    simulator = Simulator(target)
+    for mtl in range(1, target.context_count + 1):
+        if noise_factory is not None:
             simulator = Simulator(target, noise=noise_factory())
-            by_mtl[mtl] = simulator.run(program, FixedMtlPolicy(mtl))
+        by_mtl[mtl] = simulator.run(program, FixedMtlPolicy(mtl))
     best_mtl = min(by_mtl, key=lambda mtl: (by_mtl[mtl].makespan, mtl))
     return OfflineSearchOutcome(
         best_mtl=best_mtl, best=by_mtl[best_mtl], by_mtl=by_mtl

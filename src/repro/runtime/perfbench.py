@@ -292,10 +292,9 @@ def _bench_engine(quick: bool) -> Dict[str, Any]:
     # (run_point hides its simulator, so instrument one explicitly).
     machine = i7_860()
     program = build_workload_from_spec(dict(point.workload))
-    graph = program.to_task_graph()
     simulator = Simulator(machine)
     for mtl in range(1, machine.context_count + 1):
-        simulator.run_graph(graph, FixedMtlPolicy(mtl), program.name)
+        simulator.run(program, FixedMtlPolicy(mtl))
     snapshot_stats = simulator.rate_calculator.cache_info()
     eq_stats = machine.memory.equilibrium_cache_info()
 

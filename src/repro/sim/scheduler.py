@@ -120,16 +120,18 @@ class MtlGate:
 class WorkQueue:
     """FIFO work queue over a task graph, split by task kind.
 
-    Tracks dependency counts and surfaces ready tasks in enqueue order,
-    with a cache-affinity fast path for compute tasks: a context
-    preferentially picks the compute task whose memory task it ran
-    itself, since that data sits in its cache slice.
+    Tracks one dependency count per join group of the graph (see
+    :class:`~repro.stream.graph.TaskGraph`) and surfaces ready tasks in
+    enqueue order, with a cache-affinity fast path for compute tasks: a
+    context preferentially picks the compute task whose memory task it
+    ran itself, since that data sits in its cache slice.
     """
 
     def __init__(self, graph: TaskGraph) -> None:
         self._graph = graph
-        self._dependents_of = graph.dependents
-        self._remaining_deps: Dict[str, int] = graph.initial_dependency_counts()
+        self._release = graph.release
+        #: this run's outstanding-dependency count per join group
+        self._remaining: List[int] = graph.join_sizes()
         self._ready_memory: Deque[Task] = deque()
         self._ready_compute: Deque[Task] = deque()
         self._completed: set = set()
@@ -235,7 +237,7 @@ class WorkQueue:
             self._affinity_counts.get(context_id, 0) + 1
         )
 
-    def mark_complete(self, task: Task) -> List[Task]:
+    def mark_complete(self, task: Task) -> Tuple[Task, ...]:
         """Mark a task complete; returns tasks that just became ready."""
         task_id = task.task_id
         if task_id in self._completed:
@@ -245,21 +247,11 @@ class WorkQueue:
                 f"task {task_id!r} completed without being dispatched"
             )
         self._completed.add(task_id)
-        newly_ready: List[Task] = []
-        remaining = self._remaining_deps
-        for dependent in self._dependents_of(task_id):
-            dependent_id = dependent.task_id
-            count = remaining[dependent_id] - 1
-            remaining[dependent_id] = count
-            if count == 0:
-                # _enqueue, inlined: this runs once per task per run.
-                if dependent.is_memory:
-                    self._ready_memory.append(dependent)
-                else:
-                    self._ready_compute.append(dependent)
-                newly_ready.append(dependent)
-            elif count < 0:
-                raise SchedulingError(
-                    f"dependency count of {dependent_id!r} went negative"
-                )
+        newly_ready = self._release(task_id, self._remaining)
+        for dependent in newly_ready:
+            # _enqueue, inlined: this runs once per task per run.
+            if dependent.is_memory:
+                self._ready_memory.append(dependent)
+            else:
+                self._ready_compute.append(dependent)
         return newly_ready

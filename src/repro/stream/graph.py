@@ -10,8 +10,7 @@ set, and a topological order for sequential (functional) execution.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import AbstractSet, Dict, Iterable, Iterator, List
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from repro.errors import TaskGraphError
 from repro.stream.task import Task
@@ -26,6 +25,14 @@ class TaskGraph:
     names an existing task, and the graph is acyclic; a malformed graph
     raises :class:`~repro.errors.TaskGraphError` immediately rather
     than failing mid-simulation.
+
+    Dependencies are counted per *join group*: the tasks that share one
+    (deduplicated) dependency set all become ready at the same
+    completion, so one counter serves the whole group.  A phase barrier
+    is therefore one group fed once by each compute task of the phase
+    before it — O(tasks) feed entries, not one per (compute, memory)
+    pair.  The graph is immutable; each run counts on its own copy of
+    :meth:`join_sizes`.
     """
 
     def __init__(self, tasks: Iterable[Task]) -> None:
@@ -34,38 +41,37 @@ class TaskGraph:
             if task.task_id in self._tasks:
                 raise TaskGraphError(f"duplicate task id {task.task_id!r}")
             self._tasks[task.task_id] = task
+        self._index: Dict[str, int] = {tid: i for i, tid in enumerate(self._tasks)}
 
-        self._dependents: Dict[str, List[str]] = {tid: [] for tid in self._tasks}
+        groups: Dict[FrozenSet[str], int] = {}
+        members: List[List[Task]] = []
+        self._join_sizes: List[int] = []
+        feeds: Dict[str, List[int]] = {tid: [] for tid in self._tasks}
+        self._roots: List[Task] = []
         for task in self._tasks.values():
-            for dep in task.depends_on:
-                if dep not in self._tasks:
-                    raise TaskGraphError(
-                        f"task {task.task_id!r} depends on unknown task {dep!r}"
-                    )
-                if dep == task.task_id:
-                    raise TaskGraphError(
-                        f"task {task.task_id!r} depends on itself"
-                    )
-                self._dependents[dep].append(task.task_id)
-
+            deps = frozenset(task.depends_on)
+            if not deps:
+                self._roots.append(task)
+                continue
+            if task.task_id in deps:
+                raise TaskGraphError(f"task {task.task_id!r} depends on itself")
+            group = groups.get(deps)
+            if group is None:
+                group = groups[deps] = len(members)
+                members.append([])
+                self._join_sizes.append(len(deps))
+                for dep in dict.fromkeys(task.depends_on):
+                    if dep not in feeds:
+                        raise TaskGraphError(
+                            f"task {task.task_id!r} depends on unknown task {dep!r}"
+                        )
+                    feeds[dep].append(group)
+            members[group].append(task)
+        self._members: List[Tuple[Task, ...]] = [tuple(m) for m in members]
+        self._feeds: Dict[str, Tuple[int, ...]] = {
+            tid: tuple(fed) for tid, fed in feeds.items()
+        }
         self._order = self._topological_order()
-        # Completion handling asks for dependents once per task per
-        # run, and one graph is reused across many runs (the offline
-        # search sweeps every MTL over the same graph) — so resolve
-        # the id lists to task lists once, up front.
-        self._dependent_tasks: Dict[str, List[Task]] = {
-            tid: [self._tasks[t] for t in ids]
-            for tid, ids in self._dependents.items()
-        }
-        # Work-queue seeds, cached for the same reason: every run
-        # builds a fresh queue over this graph, and both of these are
-        # pure functions of it.
-        self._initial_dep_counts: Dict[str, int] = {
-            tid: len(task.depends_on) for tid, task in self._tasks.items()
-        }
-        self._roots: List[Task] = [
-            task for task in self._order if not task.depends_on
-        ]
 
     def __len__(self) -> int:
         return len(self._tasks)
@@ -84,11 +90,15 @@ class TaskGraph:
             raise TaskGraphError(f"unknown task id {task_id!r}") from None
 
     def dependents(self, task_id: str) -> List[Task]:
-        """Tasks that list ``task_id`` as a dependency."""
+        """Tasks that list ``task_id`` as a dependency, in insertion order."""
         try:
-            return self._dependent_tasks[task_id]
+            fed = self._feeds[task_id]
         except KeyError:
             raise TaskGraphError(f"unknown task id {task_id!r}") from None
+        return sorted(
+            (task for group in fed for task in self._members[group]),
+            key=self._insertion_index,
+        )
 
     def ready_tasks(self, completed: AbstractSet[str]) -> List[Task]:
         """Tasks whose dependencies are all in ``completed``.
@@ -105,10 +115,34 @@ class TaskGraph:
                 ready.append(task)
         return ready
 
-    def initial_dependency_counts(self) -> Dict[str, int]:
-        """Fresh ``task_id -> len(depends_on)`` map (a new dict each
-        call; work queues decrement their copy as tasks complete)."""
-        return dict(self._initial_dep_counts)
+    @property
+    def feed_count(self) -> int:
+        """Task-to-join-group feed entries: the decrements one run's
+        completions make in total."""
+        return sum(len(fed) for fed in self._feeds.values())
+
+    def join_sizes(self) -> List[int]:
+        """Fresh per-group count of outstanding dependencies (a new
+        list each call; :meth:`release` decrements the caller's copy)."""
+        return list(self._join_sizes)
+
+    def release(self, task_id: str, remaining: List[int]) -> Tuple[Task, ...]:
+        """Count the completion of ``task_id`` against ``remaining`` (a
+        :meth:`join_sizes` copy) and return the tasks it makes ready, in
+        insertion order — the order per-task counting produces.
+        """
+        ready: Tuple[Task, ...] = ()
+        for group in self._feeds[task_id]:
+            count = remaining[group] - 1
+            remaining[group] = count
+            if not count:
+                members = self._members[group]
+                if ready:
+                    members = tuple(
+                        sorted(ready + members, key=self._insertion_index)
+                    )
+                ready = members
+        return ready
 
     def root_tasks(self) -> List[Task]:
         """Dependency-free tasks in topological (enqueue) order.
@@ -121,19 +155,19 @@ class TaskGraph:
         """Tasks in an order consistent with all dependencies."""
         return list(self._order)
 
+    def _insertion_index(self, task: Task) -> int:
+        return self._index[task.task_id]
+
     def _topological_order(self) -> List[Task]:
-        in_degree = {tid: len(t.depends_on) for tid, t in self._tasks.items()}
-        queue = deque(tid for tid, deg in in_degree.items() if deg == 0)
-        order: List[Task] = []
-        while queue:
-            tid = queue.popleft()
-            order.append(self._tasks[tid])
-            for dependent in self._dependents[tid]:
-                in_degree[dependent] -= 1
-                if in_degree[dependent] == 0:
-                    queue.append(dependent)
+        # Kahn's algorithm with a FIFO queue: ``order`` is the queue,
+        # and the loop visits the tasks it appends.
+        remaining = self.join_sizes()
+        order: List[Task] = list(self._roots)
+        for task in order:
+            order.extend(self.release(task.task_id, remaining))
         if len(order) != len(self._tasks):
-            stuck = sorted(tid for tid, deg in in_degree.items() if deg > 0)
+            done = {task.task_id for task in order}
+            stuck = sorted(tid for tid in self._tasks if tid not in done)
             raise TaskGraphError(f"dependency cycle involving tasks {stuck}")
         return order
 

@@ -14,7 +14,7 @@ sections behave.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, WorkloadError
 from repro.stream.graph import TaskGraph
@@ -68,15 +68,31 @@ class ProgramPhase:
 
 
 class StreamProgram:
-    """An ordered sequence of phases forming one application."""
+    """An ordered sequence of phases forming one application.
+
+    Immutable: ``name`` and ``phases`` are read-only, so the task graph
+    is a pure function of the program, built on the first
+    :meth:`to_task_graph` call and shared by every later one.
+    """
+
+    __slots__ = ("_name", "_phases", "_graph")
 
     def __init__(self, name: str, phases: Sequence[ProgramPhase]) -> None:
         if not name:
             raise ConfigurationError("program name must be non-empty")
         if not phases:
             raise ConfigurationError(f"program {name!r} has no phases")
-        self.name = name
-        self.phases: Tuple[ProgramPhase, ...] = tuple(phases)
+        self._name = name
+        self._phases: Tuple[ProgramPhase, ...] = tuple(phases)
+        self._graph: Optional[TaskGraph] = None
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @property
+    def phases(self) -> Tuple[ProgramPhase, ...]:
+        return self._phases
 
     @property
     def total_pairs(self) -> int:
@@ -86,12 +102,16 @@ class StreamProgram:
         return [pair for phase in self.phases for pair in phase.pairs]
 
     def to_task_graph(self) -> TaskGraph:
-        """Flatten into a validated task graph with phase barriers.
+        """Flatten into a validated task graph with phase barriers
+        (built on the first call; every call returns the same object).
 
         The barrier is encoded by making every memory task of phase
         ``i+1`` depend on every compute task of phase ``i``; this is
-        exactly the join semantics of consecutive parallel sections.
+        exactly the join semantics of consecutive parallel sections,
+        and the graph counts it as one join group.
         """
+        if self._graph is not None:
+            return self._graph
         tasks: List[Task] = []
         previous_compute_ids: Tuple[str, ...] = ()
         for phase in self.phases:
@@ -112,7 +132,8 @@ class StreamProgram:
                 tasks.append(pair.compute)
                 current_compute_ids.append(pair.compute.task_id)
             previous_compute_ids = tuple(current_compute_ids)
-        return TaskGraph(tasks)
+        self._graph = TaskGraph(tasks)
+        return self._graph
 
 
 def build_phase(

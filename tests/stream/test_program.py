@@ -3,6 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError, WorkloadError
+from repro.sim.machine import i7_860
+from repro.sim.multiprogram import merge_programs
+from repro.sim.scheduler import FixedMtlPolicy
+from repro.sim.simulator import Simulator
 from repro.stream.program import ProgramPhase, StreamProgram, build_phase
 
 
@@ -120,3 +124,44 @@ class TestTaskGraphConversion:
         # All phase-0 tasks come before any phase-1 task.
         boundary = [t.phase_index for t in order]
         assert boundary == sorted(boundary)
+
+
+class TestGraphMemo:
+    def test_repeated_calls_return_the_same_graph(self):
+        program = two_phase_program()
+        assert program.to_task_graph() is program.to_task_graph()
+
+    def test_program_is_immutable(self):
+        program = two_phase_program()
+        with pytest.raises(AttributeError):
+            program.phases = ()
+        with pytest.raises(AttributeError):
+            program.name = "renamed"
+        with pytest.raises(AttributeError):
+            program.extra = 1
+
+    def test_repeated_runs_on_one_program_are_equal(self):
+        program = two_phase_program()
+        simulator = Simulator(i7_860())
+        first = simulator.run(program, FixedMtlPolicy(2))
+        second = simulator.run(program, FixedMtlPolicy(2))
+        assert first == second
+        assert first == Simulator(i7_860()).run(
+            two_phase_program(), FixedMtlPolicy(2)
+        )
+
+    def test_merge_reads_a_memoized_graph_correctly(self):
+        def other():
+            return StreamProgram("other", [build_phase("p", 0, 2, 1, 1e-4)])
+
+        program = two_phase_program()
+        program.to_task_graph()
+        merged, ranges = merge_programs([program, other()])
+        fresh, _ = merge_programs([two_phase_program(), other()])
+        assert list(merged) == list(fresh)
+        assert len(merged) == 14 + 4
+        assert ranges == {"two-phase": (0, 2), "other": (2, 3)}
+        barrier = set(merged.task("two-phase::M[1.0]").depends_on)
+        assert barrier == {f"two-phase::C[0.{i}]" for i in range(4)}
+        assert merged.task("other::M[0.0]").phase_index == 2
+        assert merged.task("other::M[0.0]").depends_on == ()
