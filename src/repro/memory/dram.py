@@ -21,7 +21,9 @@ benchmark fits against the linear law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
@@ -74,7 +76,7 @@ class AddressMapper:
     #: the standard fix.
     _BANK_HASH_MULTIPLIER = 2654435761
 
-    @property
+    @cached_property
     def lines_per_row(self) -> int:
         return self.timing.row_bytes // CACHE_LINE_BYTES
 
@@ -84,14 +86,15 @@ class AddressMapper:
             raise ConfigurationError(
                 f"byte_address must be non-negative, got {byte_address}"
             )
-        line = byte_address // CACHE_LINE_BYTES
-        channel = line % self.channels
-        channel_line = line // self.channels
-        row_run = channel_line // self.lines_per_row
+        return DramAddress(*self.decode_line(byte_address // CACHE_LINE_BYTES))
+
+    def decode_line(self, line: int) -> Tuple[int, int, int]:
+        """Decode a cache-line index into ``(channel, bank, row)``."""
+        channels = self.channels
+        row_run = line // channels // self.lines_per_row
+        banks = self.timing.banks_per_channel
         hashed = (row_run * self._BANK_HASH_MULTIPLIER) >> 12
-        bank = hashed % self.timing.banks_per_channel
-        row = row_run // self.timing.banks_per_channel
-        return DramAddress(channel=channel, bank=bank, row=row)
+        return line % channels, hashed % banks, row_run // banks
 
 
 @dataclass
@@ -108,19 +111,6 @@ class DramRequest:
         if self.completion is None:
             raise SimulationError("request has not completed")
         return self.completion - self.arrival
-
-
-@dataclass
-class _BankState:
-    ready_time: float = 0.0
-    open_row: Optional[int] = None
-    activate_time: float = 0.0
-
-
-@dataclass
-class _ChannelState:
-    bus_free_time: float = 0.0
-    banks: List[_BankState] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -190,24 +180,27 @@ class DramSimulator:
             s * self.stream_region_bytes // CACHE_LINE_BYTES for s in range(streams)
         ]
         remaining = [requests_per_stream] * streams
+        decode_line = self.mapper.decode_line
+
+        def issue(stream: int, arrival: float) -> None:
+            line = next_line[stream]
+            next_line[stream] = line + 1
+            address = DramAddress(*decode_line(line))
+            controller.submit(DramRequest(stream, address, arrival))
+
         for s in range(streams):
-            controller.submit(self._issue(s, next_line, arrival=0.0))
+            issue(s, 0.0)
 
         completed: List[DramRequest] = []
-        hits = 0
         total = streams * requests_per_stream
         while len(completed) < total:
-            request, was_hit = controller.service_one()
+            request, _ = controller.service_one()
             completed.append(request)
-            if was_hit:
-                hits += 1
             stream = request.stream_id
             remaining[stream] -= 1
             if remaining[stream] > 0:
                 assert request.completion is not None
-                controller.submit(
-                    self._issue(stream, next_line, arrival=request.completion)
-                )
+                issue(stream, request.completion)
 
         mean_latency = sum(r.latency for r in completed) / total
         max_latency = max(r.latency for r in completed)
@@ -215,18 +208,10 @@ class DramSimulator:
         return DramStats(
             mean_latency=mean_latency,
             max_latency=max_latency,
-            row_hit_rate=hits / total,
+            row_hit_rate=controller.row_hits / total,
             total_time=finish,
             requests=total,
         )
-
-    def _issue(
-        self, stream: int, next_line: List[int], arrival: float
-    ) -> DramRequest:
-        line = next_line[stream]
-        next_line[stream] = line + 1
-        address = self.mapper.decode(line * CACHE_LINE_BYTES)
-        return DramRequest(stream_id=stream, address=address, arrival=arrival)
 
 
 class FrFcfsController:
@@ -251,12 +236,26 @@ class FrFcfsController:
         self.timing = timing
         self.channels = channels
         self.mapper = AddressMapper(timing=timing, channels=channels)
-        self._channel_states = [
-            _ChannelState(
-                banks=[_BankState() for _ in range(timing.banks_per_channel)]
-            )
-            for _ in range(channels)
+        # Per channel, indexed by bank: when the bank can next start a
+        # request, its open row, and when that row was activated.
+        banks = timing.banks_per_channel
+        self._bank_ready = [[0.0] * banks for _ in range(channels)]
+        self._open_row: List[List[Optional[int]]] = [
+            [None] * banks for _ in range(channels)
         ]
+        self._activated = [[0.0] * banks for _ in range(channels)]
+        self._bus_free = [0.0] * channels
+        # Timing constants in seconds; a sum of parameters is taken in
+        # cycles before converting (``cycles(t_rcd + t_cl)``).
+        self._t_cl = timing.cycles(timing.t_cl)
+        self._t_rcd_cl = timing.cycles(timing.t_rcd + timing.t_cl)
+        self._t_ras = timing.cycles(timing.t_ras)
+        self._t_rp = timing.cycles(timing.t_rp)
+        self._t_burst = timing.cycles(timing.t_burst)
+        # Age cap: pure hit-first FR-FCFS lets a sequential stream
+        # monopolise its open row indefinitely; controllers bound the
+        # wait, after which the oldest request wins unconditionally.
+        self._starvation_threshold = 32 * timing.row_conflict_latency
         self._pending: List[DramRequest] = []
         self.serviced = 0
         self.row_hits = 0
@@ -269,82 +268,83 @@ class FrFcfsController:
         """Queue one request for service."""
         self._pending.append(request)
 
-    def decode(self, byte_address: int) -> DramAddress:
-        """Expose the controller's address mapping."""
-        return self.mapper.decode(byte_address)
-
     def service_one(self) -> Tuple[DramRequest, bool]:
         """Pick and complete one request under FR-FCFS.
 
-        Among the pending requests able to start earliest, row hits win,
-        then the oldest arrival — the FR-FCFS priority order.
+        Among the pending requests able to start earliest, row hits win
+        unless some request has waited past the age cap, then the
+        oldest arrival, then the earliest submitted.
         """
         pending = self._pending
-        channel_states = self._channel_states
-        if not pending:
+        if len(pending) == 1:
+            chosen = pending.pop()
+        elif pending:
+            chosen = pending.pop(self._choose())
+        else:
             raise SimulationError("no pending requests to service")
-
-        def feasible_start(req: DramRequest) -> float:
-            channel = channel_states[req.address.channel]
-            bank = channel.banks[req.address.bank]
-            return max(req.arrival, bank.ready_time)
-
-        earliest = min(feasible_start(r) for r in pending)
-        # Age cap: pure hit-first FR-FCFS lets a sequential stream
-        # monopolise its open row indefinitely; controllers bound the
-        # wait, after which the oldest request wins unconditionally.
-        starvation_threshold = 32 * self.timing.row_conflict_latency
-        starving = any(
-            earliest - r.arrival > starvation_threshold for r in pending
+        address = chosen.address
+        chosen.completion, was_hit = self.commit(
+            address.channel, address.bank, address.row, chosen.arrival
         )
+        return chosen, was_hit
 
-        def priority(req: DramRequest) -> Tuple[float, int, float]:
-            start = feasible_start(req)
-            channel = channel_states[req.address.channel]
-            bank = channel.banks[req.address.bank]
-            is_hit = bank.open_row == req.address.row
-            # Requests startable at the global earliest time compete by
-            # FR-FCFS; later-feasible requests are considered only if
-            # nothing else can go.
-            startable_now = 0 if start <= earliest else 1
-            hit_rank = 0 if (is_hit and not starving) else 1
-            return (startable_now, hit_rank, req.arrival)
+    def _choose(self) -> int:
+        """Index of the winner; only requests startable earliest compete."""
+        pending = self._pending
+        earliest = oldest = math.inf
+        best = best_hit = -1
+        for index, request in enumerate(pending):
+            address, arrival = request.address, request.arrival
+            ready = self._bank_ready[address.channel][address.bank]
+            start = max(arrival, ready)
+            oldest = min(oldest, arrival)
+            if start > earliest:
+                continue
+            is_hit = self._open_row[address.channel][address.bank] == address.row
+            if start < earliest:
+                earliest, best, best_hit = start, index, -1
+            elif arrival < pending[best].arrival:
+                best = index
+            if is_hit and (best_hit < 0 or arrival < pending[best_hit].arrival):
+                best_hit = index
+        if best_hit < 0 or earliest - oldest > self._starvation_threshold:
+            return best
+        return best_hit
 
-        chosen = min(pending, key=priority)
-        pending.remove(chosen)
-
-        timing = self.timing
-        channel = channel_states[chosen.address.channel]
-        bank = channel.banks[chosen.address.bank]
-        start = max(chosen.arrival, bank.ready_time)
-        was_hit = bank.open_row == chosen.address.row
-
+    def commit(
+        self, channel: int, bank: int, row: int, arrival: float
+    ) -> Tuple[float, bool]:
+        """Serve one request at ``arrival`` on the bank/bus state and
+        return ``(completion, was_hit)`` — the one timing path.  With
+        nothing pending this equals ``submit`` then ``service_one``.
+        """
+        bank_ready = self._bank_ready[channel]
+        open_row = self._open_row[channel]
+        ready = bank_ready[bank]
+        start = ready if ready > arrival else arrival
+        current = open_row[bank]
+        was_hit = current == row
         if was_hit:
-            data_ready = start + timing.cycles(timing.t_cl)
-        elif bank.open_row is None:
-            bank.activate_time = start
-            data_ready = start + timing.cycles(timing.t_rcd + timing.t_cl)
+            data_ready = start + self._t_cl
+            self.row_hits += 1
+        elif current is None:
+            self._activated[channel][bank] = start
+            data_ready = start + self._t_rcd_cl
         else:
             # Row conflict: precharge may not begin before tRAS elapses
             # from the activate that opened the current row.
-            precharge_start = max(
-                start, bank.activate_time + timing.cycles(timing.t_ras)
-            )
-            bank.activate_time = precharge_start + timing.cycles(timing.t_rp)
-            data_ready = bank.activate_time + timing.cycles(
-                timing.t_rcd + timing.t_cl
-            )
-
-        burst_start = max(data_ready, channel.bus_free_time)
-        completion = burst_start + timing.cycles(timing.t_burst)
-        channel.bus_free_time = completion
-        bank.ready_time = completion
-        bank.open_row = chosen.address.row
-        chosen.completion = completion
+            activated = self._activated[channel]
+            ras_end = activated[bank] + self._t_ras
+            precharge = ras_end if ras_end > start else start
+            activated[bank] = precharge + self._t_rp
+            data_ready = activated[bank] + self._t_rcd_cl
+        bus_free = self._bus_free[channel]
+        completion = (bus_free if bus_free > data_ready else data_ready) + self._t_burst
+        self._bus_free[channel] = completion
+        bank_ready[bank] = completion
+        open_row[bank] = row
         self.serviced += 1
-        if was_hit:
-            self.row_hits += 1
-        return chosen, was_hit
+        return completion, was_hit
 
 
 def measure_latency_curve(

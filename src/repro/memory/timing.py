@@ -11,6 +11,7 @@ faster DDR3-1333 grade.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ConfigurationError
 from repro.units import NANOSECONDS
@@ -80,7 +81,7 @@ class DramTiming:
         """Seconds for a row conflict: precharge, activate, column read."""
         return self.cycles(self.t_rp + self.t_rcd + self.t_cl + self.t_burst)
 
-    @property
+    @cached_property
     def banks_per_channel(self) -> int:
         """Total independently schedulable banks on one channel."""
         return self.banks_per_rank * self.ranks_per_channel

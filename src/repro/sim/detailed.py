@@ -16,19 +16,23 @@ compute tasks on SMT-off machines (the configuration of the paper's
 headline experiments).  Those restrictions keep the co-simulation
 exact; the rate-based simulator covers the spill/SMT regimes.
 
-Cost: one event per cache line.  A 0.5 MB tile is 8192 events, so use
-smaller tiles (e.g. 32-64 KiB) for sweeps; the validation benchmark
-shows the closed-form and request-level machines agree on speedups
-and MTL decisions (``benchmarks/test_ablation_request_level.py``).
+Cost: one event per cache line, each a heap push and pop, one address
+decode and one bank/bus commit (about 2 us on a 2-vCPU x86-64 host);
+scheduling work runs only when a task completes.  A 0.5 MB tile is
+8192 events, so use smaller tiles (e.g. 32-64 KiB) for sweeps; the
+validation benchmark shows the closed-form and request-level machines
+agree on speedups and MTL decisions
+(``benchmarks/test_ablation_request_level.py``).
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.memory.dram import DramRequest, FrFcfsController
+from repro.memory.dram import DramAddress, DramRequest, FrFcfsController
 from repro.memory.timing import DDR3_1066, DramTiming
 from repro.sim.events import MtlChange, TaskRecord
 from repro.sim.noise import NoiseModel, ZeroNoise
@@ -48,15 +52,12 @@ _MAX_TOTAL_REQUESTS = 5_000_000
 class _MemoryTaskState:
     """Progress of one in-flight memory task."""
 
-    __slots__ = ("task", "context_id", "core_id", "start", "remaining",
-                 "next_line", "mtl_at_dispatch", "probe")
+    __slots__ = ("task", "start", "remaining", "next_line",
+                 "mtl_at_dispatch", "probe")
 
-    def __init__(self, task: Task, context_id: int, core_id: int,
-                 start: float, requests: int, base_line: int,
-                 mtl_at_dispatch: int, probe: bool) -> None:
+    def __init__(self, task: Task, start: float, requests: int,
+                 base_line: int, mtl_at_dispatch: int, probe: bool) -> None:
         self.task = task
-        self.context_id = context_id
-        self.core_id = core_id
         self.start = start
         self.remaining = requests
         self.next_line = base_line
@@ -83,8 +84,11 @@ class DetailedSimulator:
         channels: int = 1,
         noise: Optional[NoiseModel] = None,
     ) -> None:
-        if core_count < 1:
-            raise ConfigurationError(f"core_count must be >= 1, got {core_count}")
+        for name, value in (("core_count", core_count), ("channels", channels)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigurationError(
+                    f"{name} must be a positive int, got {value!r}"
+                )
         self.core_count = core_count
         self.timing = timing
         self.channels = channels
@@ -97,6 +101,8 @@ class DetailedSimulator:
         queue = WorkQueue(graph)
         gate = MtlGate(self._validated_mtl(policy))
         controller = FrFcfsController(timing=self.timing, channels=self.channels)
+        decode_line = controller.mapper.decode_line
+        commit = controller.commit
         lines_per_region = max(
             self.timing.row_bytes // CACHE_LINE_BYTES * 4,
             max(int(t.memory_requests) for t in graph if t.is_memory) + 1,
@@ -104,18 +110,13 @@ class DetailedSimulator:
 
         # Event heap: (time, sequence, kind, context_id).
         events: List[Tuple[float, int, str, int]] = []
-        sequence = 0
+        sequence = itertools.count()
         memory_states: Dict[int, _MemoryTaskState] = {}
         compute_running: Dict[int, Tuple[Task, float, int, bool]] = {}
         records: List[TaskRecord] = []
         mtl_changes = [MtlChange(0.0, gate.limit, gate.limit, "initial")]
         region_counter = 0
         now = 0.0
-
-        def push(time: float, kind: str, context_id: int) -> None:
-            nonlocal sequence
-            heapq.heappush(events, (time, sequence, kind, context_id))
-            sequence += 1
 
         def dispatch() -> None:
             nonlocal region_counter
@@ -135,29 +136,25 @@ class DetailedSimulator:
                 probe = policy.is_probing()
                 if task.is_memory:
                     requests = max(int(round(task.memory_requests)), 1)
-                    state = _MemoryTaskState(
-                        task=task, context_id=context_id,
-                        core_id=context_id, start=now,
-                        requests=requests,
-                        base_line=region_counter * lines_per_region,
-                        mtl_at_dispatch=gate.limit, probe=probe,
-                    )
+                    line = region_counter * lines_per_region
                     region_counter += 1
-                    memory_states[context_id] = state
-                    self._issue_next(controller, state, arrival=now + overhead)
+                    memory_states[context_id] = _MemoryTaskState(
+                        task=task, start=now, requests=requests,
+                        base_line=line + 1, mtl_at_dispatch=gate.limit,
+                        probe=probe,
+                    )
+                    address = DramAddress(*decode_line(line))
+                    controller.submit(
+                        DramRequest(context_id, address, now + overhead)
+                    )
                 else:
                     duration = (
                         overhead
                         + task.cpu_seconds * self.noise.duration_factor()
                     )
                     compute_running[context_id] = (task, now, gate.limit, probe)
-                    push(now + duration, "compute", context_id)
-
-        def drain_controller() -> None:
-            while controller.pending_count > 0:
-                request, _ = controller.service_one()
-                assert request.completion is not None
-                push(request.completion, "request", request.stream_id)
+                    heappush(events, (now + duration, next(sequence),
+                                      "compute", context_id))
 
         def complete(task: Task, context_id: int, start: float,
                      mtl: int, probe: bool) -> None:
@@ -173,10 +170,27 @@ class DetailedSimulator:
 
         max_events = _MAX_TOTAL_REQUESTS
         processed = 0
-        while not queue.exhausted():
-            self._sync_mtl(policy, gate, mtl_changes, now)
-            dispatch()
-            drain_controller()
+        completed = 0
+        total = len(graph)
+        # Only a task completion can move the policy's MTL, free a
+        # context or release work, so sync, dispatch and drain run
+        # after completions only.
+        changed = True
+        while completed < total:
+            if changed:
+                changed = False
+                mtl = self._validated_mtl(policy)
+                if mtl != gate.limit:
+                    mtl_changes.append(
+                        MtlChange(now, gate.limit, mtl, reason=policy.name)
+                    )
+                    gate.set_limit(mtl)
+                dispatch()
+                while controller.pending_count > 0:
+                    request, _ = controller.service_one()
+                    assert request.completion is not None
+                    heappush(events, (request.completion, next(sequence),
+                                      "request", request.stream_id))
             if not events:
                 raise SimulationError(
                     "detailed simulation wedged: work remains but no "
@@ -188,7 +202,7 @@ class DetailedSimulator:
                     f"detailed simulation exceeded {max_events} events; "
                     "shrink the memory-task footprints"
                 )
-            time, _, kind, context_id = heapq.heappop(events)
+            time, _, kind, context_id = heappop(events)
             now = time
             if kind == "compute":
                 task, start, mtl, probe = compute_running.pop(context_id)
@@ -197,12 +211,20 @@ class DetailedSimulator:
                 state = memory_states[context_id]
                 state.remaining -= 1
                 if state.remaining > 0:
-                    self._issue_next(controller, state, arrival=now)
-                else:
-                    del memory_states[context_id]
-                    gate.release()
-                    complete(state.task, context_id, state.start,
-                             state.mtl_at_dispatch, state.probe)
+                    # The drain above left the controller queue empty,
+                    # so a direct commit equals submit + service_one.
+                    line = state.next_line
+                    state.next_line = line + 1
+                    completion, _ = commit(*decode_line(line), now)
+                    heappush(events, (completion, next(sequence),
+                                      "request", context_id))
+                    continue
+                del memory_states[context_id]
+                gate.release()
+                complete(state.task, context_id, state.start,
+                         state.mtl_at_dispatch, state.probe)
+            completed += 1
+            changed = True
 
         return SimulationResult(
             program_name=program.name,
@@ -213,20 +235,6 @@ class DetailedSimulator:
             context_count=self.core_count,
             records=tuple(records),
             mtl_changes=tuple(mtl_changes),
-        )
-
-    def _issue_next(
-        self,
-        controller: FrFcfsController,
-        state: _MemoryTaskState,
-        arrival: float,
-    ) -> None:
-        address = controller.decode(state.next_line * CACHE_LINE_BYTES)
-        state.next_line += 1
-        controller.submit(
-            DramRequest(
-                stream_id=state.context_id, address=address, arrival=arrival
-            )
         )
 
     def _validate_graph(self, graph) -> None:
@@ -260,12 +268,3 @@ class DetailedSimulator:
                 f"[1, {self.core_count}]"
             )
         return mtl
-
-    def _sync_mtl(self, policy, gate, mtl_changes, now) -> None:
-        mtl = self._validated_mtl(policy)
-        if mtl != gate.limit:
-            mtl_changes.append(
-                MtlChange(time=now, old_mtl=gate.limit, new_mtl=mtl,
-                          reason=policy.name)
-            )
-            gate.set_limit(mtl)

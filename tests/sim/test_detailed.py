@@ -28,6 +28,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             DetailedSimulator(core_count=0)
 
+    @pytest.mark.parametrize("field", ["core_count", "channels"])
+    @pytest.mark.parametrize("value", [0, -1, 1.5, 2.0, True, "2", None])
+    def test_rejects_non_positive_int_sizes_at_construction(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            DetailedSimulator(**{field: value})
+
+    def test_accepts_positive_int_sizes(self):
+        simulator = DetailedSimulator(core_count=2, channels=2)
+        result = simulator.run(program(pairs=2), FixedMtlPolicy(1))
+        assert result.task_count == 4
+
     def test_rejects_spilling_compute_tasks(self):
         spilling = StreamProgram(
             "spill",
