@@ -16,10 +16,10 @@ without writing Python:
 * ``perfbench`` — engine performance microbenchmarks writing
   ``BENCH_sim.json`` (see ``docs/performance.md``);
 * ``lint`` — AST-based static invariant checks (determinism,
-  memo-safety, telemetry-schema integrity, plus the call-graph-based
-  transitive-determinism, pool-safety, dimensional-consistency,
-  plugin-contract, mutation-after-freeze, and exception-flow
-  families; see ``docs/static_analysis.md``).  ``--jobs N`` fans the
+  telemetry-schema integrity, executor and API hygiene, plus the
+  call-graph-based transitive-determinism, pool-safety,
+  plugin-contract, mutation-after-freeze, exception-flow, and dimflow
+  unit families; see ``docs/static_analysis.md``).  ``--jobs N`` fans the
   per-file pass over worker processes with identical output;
   ``--cache-dir DIR`` makes warm runs skip unchanged files;
   ``--format sarif`` renders SARIF 2.1.0; ``--explain RPR###`` prints
@@ -204,8 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="static invariant checks (determinism, memo-safety, "
-             "telemetry schema; see docs/static_analysis.md)",
+        help="static invariant checks (determinism, frozen memo state, "
+             "units, telemetry schema; see docs/static_analysis.md)",
         epilog="exit codes: 0 no findings; 1 findings reported; "
                "2 usage or configuration error (unknown rule id, "
                "missing path, unreadable baseline)",
@@ -560,9 +560,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     if args.list_rules:
         for row in rule_catalogue():
-            autofix = " autofix" if row["autofixable"] else ""
             print(
-                f"{row['id']}  [{row['severity']}{autofix}] "
+                f"{row['id']}  [{row['severity']}] "
                 f"({row['family']}) {row['title']}"
             )
         return 0

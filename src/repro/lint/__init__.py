@@ -29,10 +29,9 @@ Layout:
   same SCC scheduling; the dimflow family (RPR810+) consumes them via
   ``consume_units`` and ``--units-output`` serializes the table;
 * :mod:`repro.lint.rules` — the rule registry.  Each rule is a class
-  with a stable id (``RPR###``), a severity, and an ``autofixable``
-  flag; rules are grouped into families (determinism, memo-safety,
-  telemetry, executor hygiene, API hygiene, transitive determinism,
-  pool safety, dimensional consistency, plugin-contract,
+  with a stable id (``RPR###``) and a severity; rules are grouped into
+  families (determinism, telemetry, executor hygiene, API hygiene,
+  transitive determinism, pool safety, plugin-contract,
   mutation-after-freeze, exception-flow, dimflow);
 * :mod:`repro.lint.reporters` — ``text``, ``json``, and ``sarif``
   renderers plus baseline read/write (fingerprints are

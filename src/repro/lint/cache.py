@@ -2,18 +2,21 @@
 
 ``repro lint --cache-dir DIR`` persists each file's
 :class:`~repro.lint.engine.FileScan` keyed by a SHA-256 of the file's
-*bytes* plus a run token (cache-format version, the per-file rule ids,
-the known suppression ids, and whether summaries are extracted).  A
-warm run therefore skips parsing and per-file rules for every
-unchanged file and is byte-identical to a cold run: the cache stores
-the per-file pass's exact product, and everything downstream (corpus
-rules, graph, effects, baseline) runs fresh either way.
+*bytes* plus a run token (a digest of the analysis source, the
+per-file rule ids, the known suppression ids, and whether summaries
+are extracted).  A warm run therefore skips parsing and per-file rules
+for every unchanged file and is byte-identical to a cold run: the
+cache stores the per-file pass's exact product, and everything
+downstream (corpus rules, graph, effects, baseline) runs fresh either
+way.
 
 Keying by content rather than mtime makes the cache immune to
-checkout churn (``git checkout`` rewrites timestamps, not bytes), and
-folding the rule ids and :data:`LINT_CACHE_VERSION` into the key means
-a rule-set change or an engine upgrade invalidates every entry
-without needing a manifest or a cleanup pass.
+checkout churn (``git checkout`` rewrites timestamps, not bytes).  The
+token's :func:`source_digest` covers every byte of the ``repro.lint``
+package plus the ``repro.units`` tables extraction reads, so any change
+to what the per-file pass records — a new summary field, a changed
+extractor, a new unit suffix — invalidates every entry without a
+version to bump, a manifest, or a cleanup pass.
 
 Entries are pickles of frozen dataclasses this package itself
 produced; the directory is engine-private (it is in
@@ -25,6 +28,7 @@ an error: the cache is an accelerator, not a source of truth.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -34,13 +38,27 @@ from typing import Iterable, Optional, Set
 
 from repro.lint.engine import FileScan
 
-__all__ = ["LINT_CACHE_VERSION", "ScanCache", "cache_token"]
+__all__ = ["ScanCache", "cache_token", "source_digest"]
 
-#: Bump whenever the per-file pass's behaviour changes in a way the
-#: rule-id list cannot express (new extraction fields, changed
-#: suppression semantics, FileScan shape).  Bumping orphans every old
-#: entry, which is exactly the point.
-LINT_CACHE_VERSION = 2  # v2: ModuleSummary grew per-function unit facts
+#: The ``repro`` package directory (this file is ``repro/lint/cache.py``).
+_REPRO = Path(__file__).resolve().parents[1]
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over the source of everything the per-file pass runs.
+
+    Every ``*.py`` file of the ``repro.lint`` package plus
+    ``repro/units.py``, whose unit tables the extractors consult — by
+    path and bytes, in sorted order.
+    """
+    digest = hashlib.sha256()
+    for path in sorted((_REPRO / "lint").rglob("*.py")) + [_REPRO / "units.py"]:
+        digest.update(path.relative_to(_REPRO).as_posix().encode("utf-8"))
+        digest.update(b"\x00")
+        digest.update(path.read_bytes())
+        digest.update(b"\x00")
+    return digest.hexdigest()
 
 
 def cache_token(
@@ -51,12 +69,13 @@ def cache_token(
     """Run token folded into every cache key.
 
     Everything the per-file pass's output depends on, beyond the file
-    bytes themselves: the cache-format version, which per-file rules
-    run, which ids suppressions may name, and whether a
-    :class:`~repro.lint.graph.summary.ModuleSummary` is extracted.
+    bytes themselves: the analysis source (:func:`source_digest`),
+    which per-file rules run, which ids suppressions may name, and
+    whether a :class:`~repro.lint.graph.summary.ModuleSummary` is
+    extracted.
     """
     parts = [
-        f"v{LINT_CACHE_VERSION}",
+        f"src={source_digest()}",
         ",".join(sorted(rule.id for rule in rules)),
         ",".join(sorted(known_ids)),
         f"summary={int(need_summary)}",

@@ -3,8 +3,7 @@
 Three modules, mirroring the effects package's split:
 
 * :mod:`repro.lint.dimflow.algebra` — the dimension algebra (canonical
-  unit strings, multiplication/division, the naming convention) shared
-  with the expression-local RPR801/802 rules;
+  unit strings, multiplication/division, the naming convention);
 * :mod:`repro.lint.dimflow.model` — picklable local facts and the
   post-fixpoint :class:`~repro.lint.dimflow.model.UnitSignature`;
 * :mod:`repro.lint.dimflow.extract` / :mod:`~repro.lint.dimflow.fixpoint`
@@ -14,7 +13,6 @@ Three modules, mirroring the effects package's split:
 
 from repro.lint.dimflow.algebra import (
     SCALAR,
-    UnitEvaluator,
     div_units,
     mul_units,
     parse_unit,
@@ -51,7 +49,6 @@ __all__ = [
     "ReturnSite",
     "UnitAnalysis",
     "UnitCallSite",
-    "UnitEvaluator",
     "UnitFacts",
     "UnitProvenance",
     "UnitSignature",

@@ -19,11 +19,9 @@ owns parsing, multiplication/division, and the suffix convention, and
 is a *leaf*: it imports only the standard library and the pure-data
 tables of :mod:`repro.units`.
 
-The algebra replaced an earlier per-expression inference that
-collapsed every division and non-literal product to *unknown*.  Under
-the algebra ``footprint_bytes / elapsed_seconds`` is the *known* rate
-``bytes/seconds`` (and keeps propagating through the call graph), and
-``window_seconds * gap_seconds`` is the known ``seconds^2`` — so
+Under the algebra ``footprint_bytes / elapsed_seconds`` is the *known*
+rate ``bytes/seconds`` (and keeps propagating through the call graph),
+and ``window_seconds * gap_seconds`` is the known ``seconds^2`` — so
 adding either to a plain duration is flaggable instead of invisible.
 
 Dimensionless (``""``) is the honest unit of numeric literals and of
@@ -34,14 +32,12 @@ between two known, non-empty, different dimensions.
 
 from __future__ import annotations
 
-import ast
 from typing import Dict, List, Optional, Tuple
 
-from repro.units import UNIT_CONSTANTS, UNIT_RETURNS, UNIT_SUFFIXES
+from repro.units import UNIT_SUFFIXES
 
 __all__ = [
     "SCALAR",
-    "UnitEvaluator",
     "div_units",
     "mul_units",
     "parse_unit",
@@ -126,85 +122,3 @@ def pow_unit(unit: str, exponent: int) -> str:
     return render_unit(
         {base: power * exponent for base, power in parse_unit(unit).items()}
     )
-
-
-class UnitEvaluator:
-    """Best-effort unit of an expression; ``None`` = unknown.
-
-    ``resolver`` is any object with a ``resolve(node) -> Optional[str]``
-    method mapping a Name/Attribute chain to its import-canonical
-    dotted path (the rules' ``ImportMap`` and the summary pass's
-    ``_Bindings`` both qualify).  Literals evaluate to :data:`SCALAR`
-    — known-dimensionless, compatible with everything additively but a
-    real (empty) dimension under ``*`` and ``/``, which is what makes
-    ``1 / elapsed_seconds`` the known rate ``1/seconds``.
-    """
-
-    def __init__(self, resolver) -> None:
-        self._resolver = resolver
-
-    def unit(self, node: ast.expr) -> Optional[str]:
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)) and not isinstance(
-                node.value, bool
-            ):
-                return SCALAR
-            return None
-        if isinstance(node, ast.Name):
-            canonical = self._resolver.resolve(node)
-            if canonical in UNIT_CONSTANTS:
-                return UNIT_CONSTANTS[canonical]
-            return unit_of_name(node.id)
-        if isinstance(node, ast.Attribute):
-            canonical = self._resolver.resolve(node)
-            if canonical in UNIT_CONSTANTS:
-                return UNIT_CONSTANTS[canonical]
-            # ``self.window_seconds`` — convention applies to the
-            # attribute name itself.
-            return unit_of_name(node.attr)
-        if isinstance(node, ast.Call):
-            canonical = self._resolver.resolve(node.func)
-            if canonical in UNIT_RETURNS:
-                return UNIT_RETURNS[canonical]
-            return None
-        if isinstance(node, ast.UnaryOp):
-            return self.unit(node.operand)
-        if isinstance(node, ast.BinOp):
-            return self._binop_unit(node)
-        if isinstance(node, ast.IfExp):
-            left = self.unit(node.body)
-            right = self.unit(node.orelse)
-            return left if left == right else None
-        return None
-
-    def _binop_unit(self, node: ast.BinOp) -> Optional[str]:
-        left = self.unit(node.left)
-        right = self.unit(node.right)
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            # Mixed known units are the *finding*, handled by the rule;
-            # as a value, propagate whichever side carries a dimension.
-            if left == SCALAR:
-                return right
-            if right == SCALAR:
-                return left
-            return left or right
-        if isinstance(node.op, ast.Mult):
-            if left is None or right is None:
-                return None
-            return mul_units(left, right)
-        if isinstance(node.op, (ast.Div, ast.FloorDiv)):
-            if left is None or right is None:
-                return None
-            return div_units(left, right)
-        if isinstance(node.op, ast.Mod):
-            # ``x % y`` keeps x's dimension (remainder of a quantity).
-            return left
-        if isinstance(node.op, ast.Pow):
-            if (
-                left is not None
-                and isinstance(node.right, ast.Constant)
-                and isinstance(node.right.value, int)
-            ):
-                return pow_unit(left, node.right.value)
-            return None
-        return None

@@ -1,6 +1,7 @@
 """Per-function local unit-fact extraction (the ``--jobs``-parallel half).
 
-One linear, flow-sensitive walk per function body, building a symbolic
+One linear, flow-sensitive walk per function body (and one over the
+module scope: top-level and class-body statements), building a symbolic
 :class:`~repro.lint.dimflow.model.UnitTerm` for every expression the
 interprocedural pass will care about:
 
@@ -14,11 +15,10 @@ interprocedural pass will care about:
 * **attribute writes** (``self.attr = expr``, and ``obj.attr = expr``
   through a constructor-built local) record which class attribute got
   which unit (RPR812's evidence);
-* **check sites** record ``+``/``-``/comparison operand pairs where at
-  least one side is only resolvable interprocedurally (RPR813's
-  evidence — locally decidable mixes stay RPR801/802's), plus
-  augmented ``+=``/``-=`` stores, which the expression-local rules
-  never see;
+* **check sites** record every ``+``/``-``/comparison operand pair
+  and every augmented ``+=``/``-=`` store whose two sides both carry
+  evidence, whether it is decidable locally or only through the call
+  graph (RPR813's evidence);
 * **telemetry emit fields**: in a dict literal carrying an ``"event"``
   key, every unit-suffixed field name is recorded with its value's
   term (RPR814's evidence).
@@ -34,6 +34,7 @@ happens later, in :mod:`repro.lint.dimflow.fixpoint`.
 from __future__ import annotations
 
 import ast
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.dimflow.algebra import SCALAR, unit_of_name
@@ -47,6 +48,13 @@ from repro.lint.dimflow.model import (
     UnitCallSite,
     UnitFacts,
     UnitTerm,
+)
+from repro.lint.graph.summary import (
+    MODULE_SCOPE,
+    analyze_functions,
+    dotted_name,
+    nested_sites,
+    target_names,
 )
 from repro.units import UNIT_CONSTANTS, UNIT_RETURNS
 
@@ -64,29 +72,6 @@ _COMPARE_OPS = {
     ast.Eq: "==",
     ast.NotEq: "!=",
 }
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    chain: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        chain.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    chain.append(current.id)
-    return ".".join(reversed(chain))
-
-
-def _is_local(term: Optional[UnitTerm]) -> bool:
-    """Whether a term resolves without any interprocedural knowledge."""
-    if term is None:
-        return False
-    if term.kind == "known":
-        return True
-    if term.kind == "product":
-        return all(_is_local(factor) for factor, _ in term.factors)
-    return False
 
 
 def _known(unit: str) -> UnitTerm:
@@ -107,15 +92,21 @@ class _UnitAnalyzer:
         self.qualname = qualname
         self.class_name = class_name
         self.bindings = bindings
-        args = node.args  # type: ignore[attr-defined]
-        self.params = tuple(
-            a.arg for a in list(args.posonlyargs) + list(args.args)
+        #: The module scope (``node`` is the ``ast.Module``): its
+        #: statements, class bodies included, are checked like a body
+        #: without parameters; its defs are the walker's, not nested.
+        self.is_module = qualname == MODULE_SCOPE
+        args = getattr(node, "args", None)
+        self.params = (
+            tuple(a.arg for a in list(args.posonlyargs) + list(args.args))
+            if args is not None
+            else ()
         )
-        self.kwonly = tuple(a.arg for a in args.kwonlyargs)
+        self.kwonly = tuple(a.arg for a in args.kwonlyargs) if args is not None else ()
         #: local name -> its current term (params start as references
         #: to their own future signature unit).
         self.env: Dict[str, UnitTerm] = {
-            name: UnitTerm(kind="param", name=name)
+            name: UnitTerm(kind="param", name=name, suffix=unit_of_name(name))
             for name in set(self.params) | set(self.kwonly)
             if name not in ("self", "cls")
         }
@@ -143,7 +134,7 @@ class _UnitAnalyzer:
             self._statement(statement)
         return UnitFacts(
             qualname=self.qualname,
-            lineno=self.node.lineno,  # type: ignore[attr-defined]
+            lineno=getattr(self.node, "lineno", 1),
             class_name=self.class_name,
             params=self.params,
             kwonly=self.kwonly,
@@ -242,7 +233,7 @@ class _UnitAnalyzer:
 
     def _call_term(self, node: ast.Call) -> Optional[UnitTerm]:
         canonical = self.bindings.resolve(node.func)
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         receiver_class = None
         if isinstance(node.func, ast.Attribute) and isinstance(
             node.func.value, ast.Name
@@ -288,21 +279,13 @@ class _UnitAnalyzer:
         left: Optional[UnitTerm],
         right: Optional[UnitTerm],
     ) -> None:
-        """Record a check site RPR813 can judge after the fixpoint.
+        """Record a check site RPR813 judges after the fixpoint.
 
-        Sites where both sides are locally resolvable belong to the
-        expression-local rules (RPR801/802) — recording them here too
-        would double-report; sites where either side has no evidence
-        at all can never fire.  Augmented stores (op ``+=``/``-=``)
-        bypass the locality filter: no local rule sees them.
+        Every site where both sides carry some evidence is kept, local
+        ones (``latency_seconds + footprint_bytes``) and ones that need
+        the call graph alike; a side with no evidence can never fire.
         """
         if left is None or right is None:
-            return
-        if (
-            op not in ("+=", "-=")
-            and _is_local(left)
-            and _is_local(right)
-        ):
             return
         self.checks.append(
             CheckSite(
@@ -317,18 +300,15 @@ class _UnitAnalyzer:
     # -- statements ----------------------------------------------------
 
     def _statement(self, node: ast.stmt) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self.nested.append(
-                (node, f"{self.qualname}.{node.name}", self.class_name)
-            )
-            self.env.pop(node.name, None)
-            return
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef) and self.is_module:
+            # Class bodies run at import time, in the module scope.
             for child in node.body:
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self.nested.append(
-                        (child, f"{self.qualname}.{child.name}", node.name)
-                    )
+                self._statement(child)
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not self.is_module:  # module-level defs are the walker's
+                self.nested.extend(nested_sites(node, self.qualname, self.class_name))
+            self.env.pop(node.name, None)
             return
         if isinstance(node, ast.Return):
             if node.value is not None and not (
@@ -370,7 +350,7 @@ class _UnitAnalyzer:
             return
         if isinstance(node, (ast.For, ast.AsyncFor)):
             self._scan_expr(node.iter)
-            for name in _target_names(node.target):
+            for name in target_names(node.target):
                 self.env.pop(name, None)
             for child in node.body + node.orelse:
                 self._statement(child)
@@ -428,21 +408,21 @@ class _UnitAnalyzer:
         term = self.term_of(value)
         # A unit-suffixed name is a naming contract: binding it a bare
         # literal (``footprint_bytes = 4096``) or an unknown keeps the
-        # suffix's dimension, exactly as the expression-local rules
-        # read the name.  A value with its own evidence wins — that
-        # flow is what the interprocedural rules are for.
+        # suffix's dimension.  A value with its own evidence wins —
+        # that flow is what the interprocedural rules are for — but
+        # carries the name's claim, which RPR813 checks as well.
         suffix = unit_of_name(name)
-        if suffix is not None and (
-            term is None
-            or (term.kind == "known" and term.unit == SCALAR)
-        ):
-            term = _known(suffix)
+        if suffix is not None:
+            if term is None or (term.kind == "known" and term.unit == SCALAR):
+                term = _known(suffix)
+            else:
+                term = replace(term, suffix=suffix)
         if term is not None:
             self.env[name] = term
         else:
             self.env.pop(name, None)
         if isinstance(value, ast.Call):
-            canonical = self.bindings.resolve(value.func) or _dotted(
+            canonical = self.bindings.resolve(value.func) or dotted_name(
                 value.func
             )
             if canonical is not None:
@@ -508,9 +488,11 @@ class _UnitAnalyzer:
     def _scan_expr(self, node: ast.expr) -> None:
         """Walk an expression for calls, checks, and emit dicts.
 
-        ``term_of`` on a BinOp already records its additive check
-        sites and its calls, so the walk dispatches each *outermost*
-        interesting node once and lets term construction recurse.
+        ``term_of`` records a BinOp's additive check and a call's site
+        as it builds their terms, memoized per node, so every BinOp and
+        call the walk meets — inside tuples, subscripts, and lambdas
+        too, where no parent term reaches them — is recorded exactly
+        once.
         """
         for expr in ast.walk(node):
             if isinstance(expr, ast.Compare):
@@ -527,18 +509,10 @@ class _UnitAnalyzer:
                         self.term_of(first),
                         self.term_of(second),
                     )
-            elif isinstance(expr, ast.BinOp) and isinstance(
-                expr.op, (ast.Add, ast.Sub)
-            ):
-                # Only top-level additions not already visited through
-                # a parent term — term_of below is cheap and records
-                # the check exactly once per site thanks to the walk
-                # visiting every BinOp node.
-                continue
+            elif isinstance(expr, (ast.BinOp, ast.Call)):
+                self.term_of(expr)
             elif isinstance(expr, ast.Dict):
                 self._emit_dict(expr)
-        # One term pass over the outermost expression records each
-        # additive check and each call exactly once.
         self.term_of(node)
 
     def _emit_dict(self, node: ast.Dict) -> None:
@@ -572,33 +546,15 @@ class _UnitAnalyzer:
             )
 
 
-def _target_names(target: ast.expr) -> List[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        names: List[str] = []
-        for element in target.elts:
-            names.extend(_target_names(element))
-        return names
-    return []
-
-
-def _is_type_checking_test(node: ast.expr) -> bool:
-    return (isinstance(node, ast.Name) and node.id == "TYPE_CHECKING") or (
-        isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING"
-    )
-
-
 def _class_attrs(tree: ast.Module, bindings) -> List[ClassAttr]:
     """Class-body attribute declarations of every top-level class."""
-    from repro.lint.dimflow import extract as _self  # for evaluator reuse
-
-    del _self
     out: List[ClassAttr] = []
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
-        probe = _module_probe(bindings)
+        # An empty scope: constants and imported unit names resolve,
+        # locals do not exist.
+        probe = _UnitAnalyzer(node, "<class-body>", None, bindings)
         for statement in node.body:
             target: Optional[ast.expr] = None
             value: Optional[ast.expr] = None
@@ -641,14 +597,6 @@ def _class_attrs(tree: ast.Module, bindings) -> List[ClassAttr]:
     return out
 
 
-def _module_probe(bindings) -> "_UnitAnalyzer":
-    """A throwaway analyzer with an empty scope, for module/class-level
-    expressions (constants and imported unit names resolve; locals
-    don't exist)."""
-    shell = ast.parse("def _probe(): pass").body[0]
-    return _UnitAnalyzer(shell, "<class-body>", None, bindings)
-
-
 def extract_units(tree: ast.Module, bindings) -> ModuleUnits:
     """Local unit facts of every function (and class body) in one file.
 
@@ -657,40 +605,9 @@ def extract_units(tree: ast.Module, bindings) -> ModuleUnits:
     summary's scheme exactly, so each record joins its project-graph
     node by ``namespace::qualname``.
     """
-    out: List[UnitFacts] = []
-    pending: List[Tuple[ast.AST, str, Optional[str]]] = []
-
-    def walk_body(
-        body: Sequence[ast.stmt], class_stack: Tuple[str, ...]
-    ) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if class_stack:
-                    qualname = ".".join(class_stack) + "." + node.name
-                    class_name: Optional[str] = class_stack[-1]
-                else:
-                    qualname = node.name
-                    class_name = None
-                pending.append((node, qualname, class_name))
-            elif isinstance(node, ast.ClassDef):
-                walk_body(node.body, class_stack + (node.name,))
-            elif isinstance(node, ast.If) and _is_type_checking_test(
-                node.test
-            ):
-                walk_body(node.orelse, class_stack)
-            elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For,
-                                   ast.While)):
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, ast.stmt):
-                        walk_body([child], class_stack)
-
-    walk_body(tree.body, ())
-    while pending:
-        node, qualname, class_name = pending.pop(0)
-        analyzer = _UnitAnalyzer(node, qualname, class_name, bindings)
-        out.append(analyzer.run())
-        pending.extend(analyzer.nested)
+    functions = [_UnitAnalyzer(tree, MODULE_SCOPE, None, bindings).run()]
+    functions.extend(analyze_functions(tree, _UnitAnalyzer, bindings))
     return ModuleUnits(
-        functions=tuple(out),
+        functions=tuple(functions),
         class_attrs=tuple(_class_attrs(tree, bindings)),
     )

@@ -185,14 +185,20 @@ class UnitAnalysis:
                 out.append((call, None, False))
         return out
 
-    def evaluate(self, key: str, term: Optional[UnitTerm]) -> Optional[str]:
+    def evaluate(
+        self, key: str, term: Optional[UnitTerm], *, suffixes: bool = False
+    ) -> Optional[str]:
         """Post-fixpoint unit of ``term`` in ``key``'s frame.
 
         ``None`` = no evidence; ``⊤`` = conflicting evidence.  Rules
-        must treat both as silence.
+        must treat both as silence.  With ``suffixes``, a term (or
+        factor) bound to a unit-suffixed name reads as that
+        :attr:`~UnitTerm.suffix` instead — the name's own claim.
         """
         if term is None:
             return None
+        if suffixes and term.suffix is not None:
+            return term.suffix
         if term.kind == "known":
             return term.unit
         if term.kind == "param":
@@ -204,7 +210,7 @@ class UnitAnalysis:
         if term.kind == "product":
             result = SCALAR
             for factor, exponent in term.factors:
-                unit = self.evaluate(key, factor)
+                unit = self.evaluate(key, factor, suffixes=suffixes)
                 if unit is None:
                     return None
                 if unit == TOP_UNIT:

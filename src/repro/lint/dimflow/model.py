@@ -67,7 +67,10 @@ class UnitTerm:
     (``factors`` are ``(term, exponent)`` pairs — a quotient is an
     exponent of ``-1``).  An expression with *no* unit evidence is
     represented as ``None`` wherever ``Optional[UnitTerm]`` appears,
-    not as a term kind.
+    not as a term kind.  ``suffix`` is the unit the name the term is
+    bound to claims by its suffix (``t_seconds = helper()`` claims
+    seconds whatever ``helper`` returns); RPR813 checks that reading
+    as well as the inferred one.
     """
 
     kind: str
@@ -75,6 +78,7 @@ class UnitTerm:
     name: str = ""
     index: int = -1
     factors: Tuple[Tuple["UnitTerm", int], ...] = ()
+    suffix: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -117,10 +121,9 @@ class AttrWrite:
 class CheckSite:
     """One additive or comparison site between two unit terms.
 
-    ``op`` is the operator's surface text (``+``, ``-``, ``<``, ...).
-    The interprocedural rule (RPR813) only judges sites where at least
-    one side was *not* locally resolvable — locally known-vs-known
-    mixes belong to RPR801/802.
+    ``op`` is the operator's surface text (``+``, ``-``, ``<``,
+    ``+=``, ...).  RPR813 evaluates both sides after the fixpoint and
+    flags two different concrete units.
     """
 
     op: str

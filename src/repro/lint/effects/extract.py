@@ -8,8 +8,8 @@ One linear, flow-sensitive walk per function body, tracking:
   reassignment to a non-alias) honestly drops the binding, so a
   rebound name can never be mistaken for the caller's object;
 * **mutations** through those aliases: attribute / subscript /
-  augmented stores, ``del``, and the known in-place container methods
-  (``append``, ``update``, ...).  ``x += 1`` on a *bare name* rebinds
+  augmented stores, ``del``, ``object.__setattr__``, and the known
+  in-place container methods (``append``, ``update``, ...).  ``x += 1`` on a *bare name* rebinds
   rather than mutates for immutables, so it only drops the alias — a
   documented blind spot for ``w += [x]`` on lists;
 * **captures**: storing a parameter object itself (a bare-name alias,
@@ -43,6 +43,12 @@ from repro.lint.effects.model import (
     ParamCapture,
     ParamMutation,
     RaiseSite,
+)
+from repro.lint.graph.summary import (
+    analyze_functions,
+    dotted_name,
+    nested_sites,
+    target_names,
 )
 
 __all__ = ["MUTATING_METHODS", "extract_effects"]
@@ -107,6 +113,7 @@ class _FunctionAnalyzer:
         qualname: str,
         class_name: Optional[str],
         bindings,  # repro.lint.graph.summary._Bindings
+        inherited: Optional[Dict[str, "_Alias"]] = None,
     ) -> None:
         self.node = node
         self.qualname = qualname
@@ -130,6 +137,10 @@ class _FunctionAnalyzer:
         self.alias: Dict[str, _Alias] = {
             name: (name, "", (name,)) for name in param_names
         }
+        #: A closure also sees the enclosing frame's aliases it does
+        #: not shadow (see :meth:`_nested_function`).
+        for name, entry in (inherited or {}).items():
+            self.alias.setdefault(name, entry)
         #: local name -> (self attr, capture line, via): locals whose
         #: object has been stored into a self attribute.
         self.captured: Dict[str, Tuple[str, int, Tuple[str, ...]]] = {}
@@ -180,6 +191,15 @@ class _FunctionAnalyzer:
                 return (param, expr.attr, step)
         return None
 
+    def _capture(self, name: str, lineno: int, dest: str) -> None:
+        """Record that ``name`` — if it denotes a whole parameter object
+        other than the receiver — is retained in ``dest``."""
+        entry = self.alias.get(name)
+        if entry is not None and entry[1] == "" and entry[0] not in ("self", "cls"):
+            self.captures.append(
+                ParamCapture(param=entry[0], lineno=lineno, via=entry[2], dest=dest)
+            )
+
     def _drop(self, name: str) -> None:
         self.alias.pop(name, None)
         self.captured.pop(name, None)
@@ -211,7 +231,7 @@ class _FunctionAnalyzer:
         else:
             self.captured.pop(name, None)
         if isinstance(value, ast.Call):
-            canonical = self.bindings.resolve(value.func) or _dotted(
+            canonical = self.bindings.resolve(value.func) or dotted_name(
                 value.func
             )
             if canonical is not None:
@@ -280,6 +300,24 @@ class _FunctionAnalyzer:
                 )
             return
 
+    def _setattr(self, node: ast.Call) -> None:
+        """``object.__setattr__(obj, "name", v)`` stores like ``obj.name = v``
+        — the one way to write a frozen dataclass.  A non-literal name
+        mutates an unknown field, recorded as the object itself."""
+        entry = self._alias_of(node.args[0])
+        if entry is None:
+            return
+        param, fieldname, via = entry
+        kind = "store-attr-deep" if fieldname else "setattr"
+        name = node.args[1] if len(node.args) > 1 else None
+        if not fieldname and isinstance(name, ast.Constant) and isinstance(name.value, str):
+            fieldname = name.value
+        self.mutations.append(
+            ParamMutation(
+                param=param, field=fieldname, lineno=node.lineno, via=via, kind=kind
+            )
+        )
+
     def _note_captured_mutation(
         self, name: str, lineno: int, kind: str
     ) -> None:
@@ -305,40 +343,15 @@ class _FunctionAnalyzer:
             return
         attr = target.attr
         if isinstance(value, ast.Name):
-            entry = self.alias.get(value.id)
-            if entry is not None and entry[1] == "" and entry[0] not in (
-                "self",
-                "cls",
-            ):
-                self.captures.append(
-                    ParamCapture(
-                        param=entry[0],
-                        lineno=lineno,
-                        via=entry[2],
-                        dest=f"self.{attr}",
-                    )
-                )
+            self._capture(value.id, lineno, f"self.{attr}")
             # Any bare local stored on self starts capture tracking —
             # mutating it later edits the stored object in place.
             self.captured.setdefault(
                 value.id, (attr, lineno, (value.id,))
             )
         elif isinstance(value, ast.Lambda):
-            free = _free_names(value)
-            for name in sorted(free):
-                entry = self.alias.get(name)
-                if entry is not None and entry[1] == "" and entry[0] not in (
-                    "self",
-                    "cls",
-                ):
-                    self.captures.append(
-                        ParamCapture(
-                            param=entry[0],
-                            lineno=lineno,
-                            via=entry[2],
-                            dest=f"self.{attr}",
-                        )
-                    )
+            for name in sorted(_free_names(value)):
+                self._capture(name, lineno, f"self.{attr}")
 
     # -- statements ----------------------------------------------------
 
@@ -354,7 +367,7 @@ class _FunctionAnalyzer:
             self._nested_function(node)
             return
         if isinstance(node, ast.ClassDef):
-            self._nested_class(node)
+            self.nested.extend(nested_sites(node, self.qualname, self.class_name))
             return
         if isinstance(node, ast.Global):
             self.globals_declared.update(node.names)
@@ -400,7 +413,7 @@ class _FunctionAnalyzer:
             return
         if isinstance(node, (ast.For, ast.AsyncFor)):
             self._scan_expr(node.iter, caught)
-            for name in _target_names(node.target):
+            for name in target_names(node.target):
                 self._drop(name)
             for child in node.body + node.orelse:
                 self._statement(child, caught, handler, handler_vars)
@@ -460,19 +473,7 @@ class _FunctionAnalyzer:
                 and base.value.id in ("self", "cls")
                 and isinstance(value, ast.Name)
             ):
-                entry = self.alias.get(value.id)
-                if entry is not None and entry[1] == "" and entry[0] not in (
-                    "self",
-                    "cls",
-                ):
-                    self.captures.append(
-                        ParamCapture(
-                            param=entry[0],
-                            lineno=lineno,
-                            via=entry[2],
-                            dest=f"self.{base.attr}[...]",
-                        )
-                    )
+                self._capture(value.id, lineno, f"self.{base.attr}[...]")
             return
         if isinstance(target, (ast.Tuple, ast.List)):
             values: Sequence[Optional[ast.expr]]
@@ -508,34 +509,29 @@ class _FunctionAnalyzer:
                 + list(node.args.kwonlyargs)  # type: ignore[attr-defined]
             )
         }
-        for name in sorted(_free_names(node) - shadowed):
-            entry = self.alias.get(name)
-            if entry is not None and entry[1] == "" and entry[0] not in (
-                "self",
-                "cls",
-            ):
-                self.captures.append(
-                    ParamCapture(
-                        param=entry[0],
-                        lineno=node.lineno,  # type: ignore[attr-defined]
-                        via=entry[2],
-                        dest=f"closure {node.name}",  # type: ignore[attr-defined]
-                    )
-                )
-        name = node.name  # type: ignore[attr-defined]
-        self._drop(name)
-        self.nested.append(
-            (node, f"{self.qualname}.{name}", self.class_name)
-        )
-
-    def _nested_class(self, node: ast.ClassDef) -> None:
-        # Methods of a function-local class get the enclosing
-        # function's qualname as prefix (mirroring the summary pass).
-        for child in node.body:
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.nested.append(
-                    (child, f"{self.qualname}.{child.name}", node.name)
-                )
+        free = _free_names(node) - shadowed
+        for name in sorted(free):
+            self._capture(
+                name,
+                node.lineno,  # type: ignore[attr-defined]
+                f"closure {node.name}",  # type: ignore[attr-defined]
+            )
+        # A closure writes the objects it closes over whenever it runs:
+        # walk its body under those aliases and count its mutations of
+        # them as this function's own (``self._sig = ...`` in a helper
+        # defined inside a method mutates the method's receiver).
+        inherited = {name: self.alias[name] for name in free if name in self.alias}
+        if inherited:
+            closure = _FunctionAnalyzer(
+                node, self.qualname, self.class_name, self.bindings, inherited
+            )
+            closure.run()
+            own = set(closure.params) | set(closure.kwonly)
+            self.mutations.extend(
+                m for m in closure.mutations if m.param not in own
+            )
+        self._drop(node.name)  # type: ignore[attr-defined]
+        self.nested.extend(nested_sites(node, self.qualname, self.class_name))
 
     # -- raises and try context ----------------------------------------
 
@@ -549,7 +545,7 @@ class _FunctionAnalyzer:
         )
         names = []
         for type_node in nodes:
-            resolved = self.bindings.resolve(type_node) or _dotted(type_node)
+            resolved = self.bindings.resolve(type_node) or dotted_name(type_node)
             names.append(resolved if resolved is not None else TOP)
         return tuple(names)
 
@@ -601,7 +597,7 @@ class _FunctionAnalyzer:
             self._scan_expr(node.cause, caught)
         exc = node.exc
         if isinstance(exc, ast.Call):
-            type_name = self.bindings.resolve(exc.func) or _dotted(exc.func)
+            type_name = self.bindings.resolve(exc.func) or dotted_name(exc.func)
         elif isinstance(exc, ast.Name) and exc.id in handler_vars:
             for caught_type in handler_vars[exc.id]:
                 self.raises.append(
@@ -614,7 +610,7 @@ class _FunctionAnalyzer:
                 )
             return
         else:
-            type_name = self.bindings.resolve(exc) or _dotted(exc)
+            type_name = self.bindings.resolve(exc) or dotted_name(exc)
             # A bare name that is a local (alias/ctor result) is an
             # *instance*, not a class — unresolvable.
             if isinstance(exc, ast.Name) and (
@@ -640,6 +636,8 @@ class _FunctionAnalyzer:
         func = node.func
         receiver: Optional[Tuple[str, str]] = None
         receiver_class: Optional[str] = None
+        if dotted_name(func) == "object.__setattr__" and node.args:
+            self._setattr(node)
         if isinstance(func, ast.Attribute):
             base = func.value
             if func.attr in MUTATING_METHODS:
@@ -673,18 +671,7 @@ class _FunctionAnalyzer:
             ):
                 for arg in node.args:
                     if isinstance(arg, ast.Name):
-                        entry = self.alias.get(arg.id)
-                        if entry is not None and entry[1] == "" and entry[
-                            0
-                        ] not in ("self", "cls"):
-                            self.captures.append(
-                                ParamCapture(
-                                    param=entry[0],
-                                    lineno=node.lineno,
-                                    via=entry[2],
-                                    dest=f"self.{base.attr}[...]",
-                                )
-                            )
+                        self._capture(arg.id, node.lineno, f"self.{base.attr}[...]")
         args = tuple(
             (
                 (entry[0], entry[1])
@@ -707,7 +694,7 @@ class _FunctionAnalyzer:
         )
         self.calls.append(
             EffectCall(
-                dotted=_dotted(func),
+                dotted=dotted_name(func),
                 canonical=self.bindings.resolve(func),
                 receiver_class=receiver_class,
                 lineno=node.lineno,
@@ -719,18 +706,6 @@ class _FunctionAnalyzer:
         )
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    chain: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        chain.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    chain.append(current.id)
-    return ".".join(reversed(chain))
-
-
 def _free_names(node: ast.AST) -> Set[str]:
     """Names loaded anywhere inside ``node`` (closure candidates)."""
     return {
@@ -738,23 +713,6 @@ def _free_names(node: ast.AST) -> Set[str]:
         for n in ast.walk(node)
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
     }
-
-
-def _target_names(target: ast.expr) -> List[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        names: List[str] = []
-        for element in target.elts:
-            names.extend(_target_names(element))
-        return names
-    return []
-
-
-def _is_type_checking_test(node: ast.expr) -> bool:
-    return (isinstance(node, ast.Name) and node.id == "TYPE_CHECKING") or (
-        isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING"
-    )
 
 
 def extract_effects(tree: ast.Module, bindings) -> Tuple[FunctionEffects, ...]:
@@ -767,39 +725,4 @@ def extract_effects(tree: ast.Module, bindings) -> Tuple[FunctionEffects, ...]:
     :class:`~repro.lint.graph.summary.FunctionSummary` (and project
     graph node) by ``namespace::qualname``.
     """
-    out: List[FunctionEffects] = []
-    pending: List[Tuple[ast.AST, str, Optional[str]]] = []
-
-    def walk_body(
-        body: Sequence[ast.stmt], class_stack: Tuple[str, ...]
-    ) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if class_stack:
-                    qualname = ".".join(class_stack) + "." + node.name
-                    class_name: Optional[str] = class_stack[-1]
-                else:
-                    qualname = node.name
-                    class_name = None
-                pending.append((node, qualname, class_name))
-            elif isinstance(node, ast.ClassDef):
-                walk_body(node.body, class_stack + (node.name,))
-            elif isinstance(node, ast.If) and _is_type_checking_test(
-                node.test
-            ):
-                walk_body(node.orelse, class_stack)
-            elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For,
-                                   ast.While)):
-                # Conditionally-defined module functions still exist
-                # at runtime; give them effects under the same names.
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, ast.stmt):
-                        walk_body([child], class_stack)
-
-    walk_body(tree.body, ())
-    while pending:
-        node, qualname, class_name = pending.pop(0)
-        analyzer = _FunctionAnalyzer(node, qualname, class_name, bindings)
-        out.append(analyzer.run())
-        pending.extend(analyzer.nested)
-    return out
+    return tuple(analyze_functions(tree, _FunctionAnalyzer, bindings))

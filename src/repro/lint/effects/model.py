@@ -49,7 +49,8 @@ class ParamMutation:
     ``field`` is the first-level attribute whose object is mutated
     (``""`` means the parameter object itself); ``kind`` is
     ``"store-attr"`` / ``"store-index"`` / ``"augstore"`` /
-    ``"delete"`` / ``"store-attr-deep"`` / ``"call:<method>"``.
+    ``"delete"`` / ``"store-attr-deep"`` / ``"setattr"`` (an
+    ``object.__setattr__`` write) / ``"call:<method>"``.
     """
 
     param: str

@@ -53,6 +53,7 @@ __all__ = [
     "Finding",
     "LintEngine",
     "LintReport",
+    "PACKAGE_LAYERS",
     "POOL_BOUNDARY",
     "Suppressions",
     "iter_python_files",
@@ -93,6 +94,11 @@ _LAYER_DIRS = frozenset(
         "workloads",
     }
 )
+
+
+#: Every layer of the shipped package: the layer directories plus
+#: ``root`` (modules directly under ``repro/``).
+PACKAGE_LAYERS = _LAYER_DIRS | {"root"}
 
 
 def layer_for_path(path: Path) -> str:

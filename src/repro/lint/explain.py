@@ -1,11 +1,11 @@
 """``repro lint --explain RPR###``: rule metadata plus its doc section.
 
-The catalogue entry (id, title, family, severity, autofixability, and
-the family's one-line contract) comes from the live registry; the
-prose comes from ``docs/static_analysis.md``, located relative to this
-file so the command works from any working directory.  Doc sections
-are matched by their ``###`` headings, which name the rule ranges
-they cover (``### Determinism (RPR101–RPR104)``) — the docs-parity
+The catalogue entry (id, title, family, severity, and the family's
+one-line contract) comes from the live registry; the prose comes from
+``docs/static_analysis.md``, located relative to this file so the
+command works from any working directory.  Doc sections are matched by
+their ``###`` headings, which name the rule ranges they cover
+(``### Transitive determinism (RPR601–RPR604)``) — the docs-parity
 test keeps those headings honest, so ``--explain`` can never show the
 wrong section for an id that exists.
 """
@@ -92,7 +92,6 @@ def explain_rule(rule_id: str) -> str:
         f"{rule_id}: {entry['title']}",
         f"family: {family} — {RULE_FAMILIES.get(family, '')}",
         f"severity: {entry['severity']}",
-        f"autofixable: {'yes' if entry['autofixable'] else 'no'}",
     ]
     section = doc_section_for(rule_id)
     if section:

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lint.graph.summary import (
-    MODULE_SCOPE,
     ArgRef,
     CallRef,
     ClassSummary,

@@ -19,8 +19,9 @@ module-level statements, including class bodies):
   import-canonical form (``time.time``) when the base name was bound
   by an import, the receiver's constructor class when the receiver is
   a local built in the same scope (``sim = Simulator(...); sim.run()``),
-  and a descriptor of each argument that might be a first-order
-  callable;
+  whether it passes any argument at all (``random.Random()`` vs
+  ``random.Random(seed)``), and a descriptor of each argument that
+  might be a first-order callable;
 * determinism-sink facts that are not calls: ``os.environ`` reads and
   built-in ``hash()`` calls;
 * pool-safety facts: ``global`` writes and telemetry-emitting calls
@@ -34,13 +35,21 @@ and star imports (recorded as such — the builder treats them as a
 fallback namespace, and documents them as a blind spot).
 ``if TYPE_CHECKING:`` bodies are skipped entirely: they create no
 runtime dependency, so they must create no call-graph edge.
+
+The module also owns the helpers every extractor shares — the dotted
+name of a Name/Attribute chain, the ``TYPE_CHECKING`` test,
+assignment-target names, and the function
+locators :func:`analyze_functions` and :func:`nested_sites` — so the
+qualname scheme that joins summaries, effects, and unit facts is
+defined here and nowhere else.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ArgRef",
@@ -49,8 +58,13 @@ __all__ = [
     "FunctionSummary",
     "ModuleSummary",
     "MODULE_SCOPE",
+    "analyze_functions",
+    "dotted_name",
     "extract_summary",
+    "is_type_checking_test",
     "module_name_for_path",
+    "nested_sites",
+    "target_names",
 ]
 
 #: Qualname of the synthetic function holding module-level statements.
@@ -81,6 +95,8 @@ class CallRef:
     receiver_class: Optional[str]
     lineno: int
     args: Tuple[ArgRef, ...] = ()
+    #: True when the call passes any positional or keyword argument.
+    has_args: bool = False
 
 
 @dataclass(frozen=True)
@@ -102,17 +118,19 @@ class FunctionSummary:
 
 @dataclass(frozen=True)
 class ClassSummary:
-    """One module-level class: its bases (canonical when imported),
-    the names of its directly defined methods, and its ``__slots__``
-    entries (``None`` when the class declares none — the
-    mutation-after-freeze rules scope memo-field protection to slotted
-    classes, exactly like RPR202)."""
+    """One class: its name (``Outer.Inner`` for a class nested in a
+    class body, the bare name otherwise), its bases (canonical when
+    imported), the names of its directly defined methods, its ``__slots__``
+    entries (``None`` when the class declares none), and whether it is
+    a ``@dataclass(frozen=True)`` — the two shapes whose state the
+    mutation-after-freeze rules protect."""
 
     name: str
     lineno: int
     bases: Tuple[str, ...]
     methods: Tuple[str, ...]
     slots: Optional[Tuple[str, ...]] = None
+    frozen: bool = False
 
 
 @dataclass(frozen=True)
@@ -176,10 +194,11 @@ def module_name_for_path(display_path: str) -> Optional[str]:
 class _Bindings:
     """Module-local name -> canonical dotted path, imports only.
 
-    The same contract as the rules' ``ImportMap`` (names never bound by
-    an import resolve to ``None``), extended with relative-import
-    resolution against the module's own dotted name and with star
-    imports recorded separately.
+    Names never bound by an import resolve to ``None``, so a local that
+    merely shadows a module name (``time = 3``) cannot pass for it,
+    while ``from time import time as now`` cannot dodge a sink table.
+    Relative imports resolve against the module's own dotted name;
+    star imports are recorded separately.
     """
 
     def __init__(self, module: Optional[str], is_package: bool) -> None:
@@ -218,7 +237,8 @@ class _Bindings:
             module = node.module
         for alias in node.names:
             if alias.name == "*":
-                self.stars.append(module)
+                if module not in self.stars:
+                    self.stars.append(module)
                 continue
             local = alias.asname or alias.name
             self.map[local] = f"{module}.{alias.name}"
@@ -238,7 +258,8 @@ class _Bindings:
         return ".".join(reversed(chain))
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """Literal dotted text of a Name/Attribute chain (no import logic)."""
     chain: List[str] = []
     current = node
     while isinstance(current, ast.Attribute):
@@ -272,10 +293,118 @@ def _class_slots(node: ast.ClassDef) -> Optional[Tuple[str, ...]]:
     return None
 
 
-def _is_type_checking_test(node: ast.expr) -> bool:
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    """``@dataclass(frozen=True)`` (or ``@dataclasses.dataclass(...)``)."""
+    for decorator in node.decorator_list:
+        if not isinstance(decorator, ast.Call):
+            continue
+        if dotted_name(decorator.func) not in ("dataclass", "dataclasses.dataclass"):
+            continue
+        for keyword in decorator.keywords:
+            if (
+                keyword.arg == "frozen"
+                and isinstance(keyword.value, ast.Constant)
+                and keyword.value.value is True
+            ):
+                return True
+    return False
+
+
+def is_type_checking_test(node: ast.expr) -> bool:
+    """``if TYPE_CHECKING:`` / ``if typing.TYPE_CHECKING:``."""
     return (isinstance(node, ast.Name) and node.id == "TYPE_CHECKING") or (
         isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING"
     )
+
+
+def target_names(target: ast.expr) -> List[str]:
+    """Names bound by an assignment/loop target (tuples unpacked)."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        names: List[str] = []
+        for element in target.elts:
+            names.extend(target_names(element))
+        return names
+    return []
+
+
+def _module_imports(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
+    """Module-level import statements, conditional blocks included."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If) and is_type_checking_test(node.test):
+            yield from _module_imports(node.orelse)
+        elif isinstance(node, (ast.If, ast.Try, ast.With)):
+            for name in ("body", "orelse", "finalbody"):
+                yield from _module_imports(getattr(node, name, ()))
+            for handler in getattr(node, "handlers", ()):
+                yield from _module_imports(handler.body)
+
+
+#: ``(function node, qualname, enclosing class name)``.
+FunctionSite = Tuple[ast.AST, str, Optional[str]]
+
+
+def nested_sites(
+    node: ast.stmt, qualname: str, class_name: Optional[str]
+) -> List[FunctionSite]:
+    """Functions a ``def``/``class`` statement in function ``qualname``
+    introduces: the nested function itself, or the methods of a
+    function-local class — both prefixed by the enclosing qualname."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [(node, f"{qualname}.{node.name}", class_name)]
+    return [
+        (child, f"{qualname}.{child.name}", node.name)  # type: ignore[attr-defined]
+        for child in getattr(node, "body", ())
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def _function_sites(
+    body: Sequence[ast.stmt], class_stack: Tuple[str, ...], out: List[FunctionSite]
+) -> None:
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if class_stack:
+                out.append(
+                    (node, ".".join(class_stack) + "." + node.name, class_stack[-1])
+                )
+            else:
+                out.append((node, node.name, None))
+        elif isinstance(node, ast.ClassDef):
+            _function_sites(node.body, class_stack + (node.name,), out)
+        elif isinstance(node, ast.If) and is_type_checking_test(node.test):
+            _function_sites(node.orelse, class_stack, out)
+        elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For, ast.While)):
+            # Conditionally-defined functions still exist at runtime;
+            # they get facts under the same names.
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.stmt):
+                    _function_sites([child], class_stack, out)
+
+
+def analyze_functions(tree: ast.Module, analyzer_cls: type, bindings: "_Bindings") -> List:
+    """Run one per-function analyzer class over every function of a file.
+
+    ``analyzer_cls(node, qualname, class_name, bindings)`` must have a
+    ``run()`` method and, once run, a ``nested`` list of further
+    ``(node, qualname, class_name)`` sites it met (nested defs and
+    methods of function-local classes), which are analyzed in turn.
+    Functions and methods get the qualnames :func:`extract_summary`
+    gives them, so every extractor's records join the project graph by
+    ``namespace::qualname``.
+    """
+    sites: List[FunctionSite] = []
+    _function_sites(tree.body, (), sites)
+    pending = deque(sites)
+    results = []
+    while pending:
+        instance = analyzer_cls(*pending.popleft(), bindings)
+        results.append(instance.run())  # type: ignore[attr-defined]
+        pending.extend(instance.nested)  # type: ignore[attr-defined]
+    return results
 
 
 _ENV_READS = frozenset({"os.environ", "os.getenv", "os.environb"})
@@ -326,6 +455,14 @@ class _Extractor:
     # -- entry -----------------------------------------------------------
 
     def run(self, tree: ast.Module) -> None:
+        # A function body runs after the whole module body did, so a
+        # module-level import binds its name there wherever it sits in
+        # the file (late imports included).
+        for node in _module_imports(tree.body):
+            if isinstance(node, ast.Import):
+                self.bindings.add_import(node)
+            else:
+                self.bindings.add_import_from(node)  # type: ignore[arg-type]
         module_scope = _Scope(
             qualname=MODULE_SCOPE, lineno=1, is_toplevel=False, class_name=None
         )
@@ -344,7 +481,7 @@ class _Extractor:
         if isinstance(node, ast.ImportFrom):
             self.bindings.add_import_from(node)
             return
-        if isinstance(node, ast.If) and _is_type_checking_test(node.test):
+        if isinstance(node, ast.If) and is_type_checking_test(node.test):
             # Type-only blocks vanish at runtime: no imports, no edges.
             for orelse in node.orelse:
                 self._statement(orelse, scope, class_stack)
@@ -375,7 +512,7 @@ class _Extractor:
                 ):
                     canonical = self.bindings.resolve(
                         item.context_expr.func
-                    ) or _dotted(item.context_expr.func)
+                    ) or dotted_name(item.context_expr.func)
                     if canonical is not None:
                         scope.ctor_locals[item.optional_vars.id] = canonical
         for child in ast.iter_child_nodes(node):
@@ -430,20 +567,20 @@ class _Extractor:
             for child in node.body
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
-        if not class_stack:
-            bases = tuple(
-                self.bindings.resolve(base) or _dotted(base) or "<unknown>"
-                for base in node.bases
+        bases = tuple(
+            self.bindings.resolve(base) or dotted_name(base) or "<unknown>"
+            for base in node.bases
+        )
+        self.classes.append(
+            ClassSummary(
+                name=".".join(stack),
+                lineno=node.lineno,
+                bases=bases,
+                methods=tuple(methods),
+                slots=_class_slots(node),
+                frozen=_is_frozen_dataclass(node),
             )
-            self.classes.append(
-                ClassSummary(
-                    name=node.name,
-                    lineno=node.lineno,
-                    bases=bases,
-                    methods=tuple(methods),
-                    slots=_class_slots(node),
-                )
-            )
+        )
         for child in node.body:
             # Class-body statements execute at import time: calls there
             # belong to the module scope, but methods get their own.
@@ -466,7 +603,7 @@ class _Extractor:
         if target.id == "EVENT_SCHEMAS":
             self.defines_event_schemas = True
         if isinstance(value, (ast.Name, ast.Attribute)):
-            alias = self.bindings.resolve(value) or _dotted(value)
+            alias = self.bindings.resolve(value) or dotted_name(value)
             if alias is not None:
                 self.aliases.append((target.id, alias))
         elif isinstance(value, (ast.Tuple, ast.List)) and value.elts:
@@ -499,7 +636,7 @@ class _Extractor:
             if target.id in scope.global_names:
                 scope.global_writes.append((target.id, node.lineno))
             if isinstance(value, ast.Call):
-                canonical = self.bindings.resolve(value.func) or _dotted(
+                canonical = self.bindings.resolve(value.func) or dotted_name(
                     value.func
                 )
                 if canonical is not None:
@@ -526,10 +663,10 @@ class _Extractor:
         # Expressions cannot contain statements, so a plain walk stays
         # inside the scope (lambda bodies and comprehension generators
         # included — their calls belong to the enclosing function).
-        return (n for n in ast.walk(node) if isinstance(n, ast.expr))
+        return (n for n in ast.walk(node) if isinstance(n, ast.expr))  # type: ignore[misc]
 
     def _call(self, node: ast.Call, scope: _Scope) -> None:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         canonical = self.bindings.resolve(node.func)
         if dotted == "hash" and canonical is None:
             scope.hash_calls.append(node.lineno)
@@ -555,6 +692,7 @@ class _Extractor:
                 receiver_class=receiver_class,
                 lineno=node.lineno,
                 args=args,
+                has_args=bool(node.args or node.keywords),
             )
         )
         for keyword in node.keywords:
@@ -581,7 +719,7 @@ class _Extractor:
         if isinstance(node, ast.Attribute):
             return ArgRef(
                 kind="attribute",
-                dotted=_dotted(node),
+                dotted=dotted_name(node),
                 canonical=self.bindings.resolve(node),
             )
         if isinstance(node, ast.Call):

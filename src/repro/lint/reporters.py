@@ -157,10 +157,7 @@ def render_sarif(report: LintReport) -> str:
             "defaultConfiguration": {
                 "level": _SARIF_LEVELS.get(entry["severity"], "note"),
             },
-            "properties": {
-                "family": entry["family"],
-                "autofixable": entry["autofixable"],
-            },
+            "properties": {"family": entry["family"]},
         }
         for entry in rule_catalogue()
     ]

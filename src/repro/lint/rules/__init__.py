@@ -15,17 +15,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import ConfigurationError
 from repro.lint.rules.api import LayerImportRule, MissingAllRule
 from repro.lint.rules.base import Rule
-from repro.lint.rules.determinism import (
-    DETERMINISTIC_LAYERS,
-    BuiltinHashRule,
-    EnvironmentReadRule,
-    UnseededRandomRule,
-    WallClockRule,
-)
-from repro.lint.rules.dimensional import (
-    MixedUnitArithmeticRule,
-    MixedUnitComparisonRule,
-)
 from repro.lint.rules.effects import (
     DeterministicBareExceptionRule,
     PolicyHookArgumentMutationRule,
@@ -40,7 +29,6 @@ from repro.lint.rules.hygiene import (
     MutableDefaultRule,
     SumOverSetRule,
 )
-from repro.lint.rules.memosafety import FrozenMutationRule, MemoFieldMutationRule
 from repro.lint.rules.poolsafety import (
     NonPicklableSubmissionRule,
     WorkerGlobalMutationRule,
@@ -48,10 +36,12 @@ from repro.lint.rules.poolsafety import (
 )
 from repro.lint.rules.telemetry import OrphanSchemaRule, UnregisteredEventRule
 from repro.lint.rules.transitive import (
+    DETERMINISTIC_LAYERS,
     TransitiveEntropyRule,
     TransitiveEnvironmentRule,
     TransitiveHashRule,
     TransitiveWallClockRule,
+    UnseededRandomRule,
 )
 from repro.lint.rules.unitflow import (
     ArgumentUnitMismatchRule,
@@ -74,12 +64,7 @@ __all__ = [
 
 #: Every rule class, in id order.
 RULE_CLASSES: Tuple[type, ...] = (
-    WallClockRule,
     UnseededRandomRule,
-    EnvironmentReadRule,
-    BuiltinHashRule,
-    FrozenMutationRule,
-    MemoFieldMutationRule,
     UnregisteredEventRule,
     OrphanSchemaRule,
     BroadExceptRule,
@@ -94,8 +79,6 @@ RULE_CLASSES: Tuple[type, ...] = (
     NonPicklableSubmissionRule,
     WorkerGlobalMutationRule,
     WorkerTelemetryRule,
-    MixedUnitArithmeticRule,
-    MixedUnitComparisonRule,
     PolicyHookArgumentMutationRule,
     PolicyHookReferenceRetentionRule,
     PolicyHookGlobalWriteRule,
@@ -110,27 +93,25 @@ RULE_CLASSES: Tuple[type, ...] = (
     TelemetryFieldUnitRule,
 )
 
-#: Engine-emitted findings: id -> (title, family, severity, autofixable).
-META_RULES: Dict[str, Tuple[str, str, str, bool]] = {
-    "RPR001": ("file does not parse", "engine", "error", False),
-    "RPR002": ("malformed suppression comment", "engine", "error", False),
+#: Engine-emitted findings: id -> (title, family, severity).
+META_RULES: Dict[str, Tuple[str, str, str]] = {
+    "RPR001": ("file does not parse", "engine", "error"),
+    "RPR002": ("malformed suppression comment", "engine", "error"),
 }
 
 #: Family name -> one-line description (docs parity checks these too).
 RULE_FAMILIES: Dict[str, str] = {
     "engine": "findings the engine itself emits",
-    "determinism": "bit-identical replay of the model layers",
-    "memo-safety": "memo keys stay immutable after construction",
+    "determinism": "every random draw is explicitly seeded, in every layer",
     "telemetry": "EVENT_SCHEMAS and emit sites agree both ways",
     "executor-hygiene": "failure signals and float ordering survive",
     "api-hygiene": "explicit exports and one-way layering",
-    "transitive-determinism": "no call path from the model layers to a sink",
+    "transitive-determinism": "no model-layer function reaches a sink, at any depth",
     "pool-safety": "everything crossing the process pool pickles cleanly",
-    "dimensional": "seconds, bytes, and counts never mix silently",
     "plugin-contract": "policy hooks observe simulator state, never edit it",
-    "mutation-after-freeze": "captured memo-signature objects stay frozen",
+    "mutation-after-freeze": "frozen dataclasses and memo-signature slots stay frozen",
     "exception-flow": "only repro.errors types cross process boundaries",
-    "dimflow": "units survive the call graph: signatures, returns, emits",
+    "dimflow": "seconds, bytes, and counts never mix, locally or across calls",
 }
 
 
@@ -141,27 +122,14 @@ def all_rule_ids() -> List[str]:
 
 def rule_catalogue() -> List[Dict[str, object]]:
     """Stable description of every rule, for --list-rules and docs parity."""
-    rows: List[Dict[str, object]] = []
-    for rule_id, (title, family, severity, autofixable) in META_RULES.items():
-        rows.append(
-            {
-                "id": rule_id,
-                "title": title,
-                "family": family,
-                "severity": severity,
-                "autofixable": autofixable,
-            }
-        )
-    for cls in RULE_CLASSES:
-        rows.append(
-            {
-                "id": cls.id,
-                "title": cls.title,
-                "family": cls.family,
-                "severity": cls.severity,
-                "autofixable": cls.autofixable,
-            }
-        )
+    rows: List[Dict[str, object]] = [
+        {"id": rule_id, "title": title, "family": family, "severity": severity}
+        for rule_id, (title, family, severity) in META_RULES.items()
+    ]
+    rows.extend(
+        {"id": cls.id, "title": cls.title, "family": cls.family, "severity": cls.severity}
+        for cls in RULE_CLASSES
+    )
     rows.sort(key=lambda row: str(row["id"]))
     return rows
 

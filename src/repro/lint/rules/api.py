@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import FileContext, Finding
+from repro.lint.engine import PACKAGE_LAYERS, FileContext, Finding
 from repro.lint.rules.base import Rule
 
 __all__ = ["MissingAllRule", "LayerImportRule"]
@@ -40,11 +40,7 @@ class MissingAllRule(Rule):
     title = "public module missing __all__"
     family = "api-hygiene"
     severity = "error"
-    autofixable = True
-    layers = frozenset(
-        {"analysis", "core", "lint", "memory", "root", "runtime", "sim",
-         "stream", "workloads"}
-    )
+    layers = PACKAGE_LAYERS
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         stem = ctx.path.stem

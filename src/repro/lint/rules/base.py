@@ -1,15 +1,15 @@
 """Rule plugin API and shared AST helpers.
 
 A rule is a class with class-level metadata (stable ``id``, human
-``title``, ``severity``, ``autofixable``, an optional ``layers``
-scope) and two hooks:
+``title``, ``severity``, an optional ``layers`` scope) and two hooks:
 
 * :meth:`Rule.check` — called once per file with a
   :class:`~repro.lint.engine.FileContext`; yields findings;
 * :meth:`Rule.finalize` — called once after every file, for rules
   whose invariant spans the corpus (e.g. the orphan-schema check).
 
-Corpus-spanning rules set ``corpus_level = True``: their ``check`` is
+Corpus-spanning rules subclass :class:`CorpusRule` (which sets
+``corpus_level = True`` and collects their findings): their ``check`` is
 never shipped to ``--jobs`` worker processes (worker rule instances
 are discarded, so state accumulated there would be lost).  Instead
 the engine feeds them every file's picklable
@@ -21,21 +21,21 @@ receive the assembled
 :meth:`Rule.consume_graph` (the graph is built once per run and
 shared).
 
-Rules that resolve names (``time.time``, ``np.random.rand``) share
-:class:`ImportMap`, which canonicalises call targets through the
-file's imports, so ``from time import time as now`` cannot dodge the
-wall-clock rule while a local variable that merely *shadows* ``time``
-does not false-positive.
+Rules that resolve names (``time.time``, ``np.random.rand``) read
+the summary's import-canonical call targets, so ``from time import
+time as now`` cannot dodge a sink table while a local variable that
+merely *shadows* ``time`` does not false-positive.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.lint.engine import FileContext, Finding
+from repro.lint.graph.summary import dotted_name
 
-__all__ = ["Rule", "ImportMap", "dotted_name", "call_name", "finding_at"]
+__all__ = ["CorpusRule", "Rule", "dotted_name", "call_name", "finding_at"]
 
 
 class Rule:
@@ -45,7 +45,6 @@ class Rule:
     title: str = ""
     family: str = ""
     severity: str = "error"
-    autofixable: bool = False
     #: Restrict to these architectural layers (None = every file).
     layers: Optional[frozenset] = None
     #: True: the rule accumulates cross-file state.  Its ``check`` never
@@ -109,6 +108,20 @@ class Rule:
         )
 
 
+class CorpusRule(Rule):
+    """A corpus-level rule: collects findings while it consumes the
+    corpus and reports them all from :meth:`finalize`."""
+
+    corpus_level = True
+
+    def __init__(self) -> None:
+        self._findings: List[Finding] = []
+
+    def finalize(self) -> Iterator[Finding]:
+        findings, self._findings = self._findings, []
+        return iter(findings)
+
+
 def finding_at(
     rule: str,
     severity: str,
@@ -126,60 +139,6 @@ def finding_at(
         message=message,
         source_line=ctx.line_text(line),
     )
-
-
-class ImportMap:
-    """Maps local names to canonical dotted module paths.
-
-    ``import numpy as np`` binds ``np -> numpy``; ``from time import
-    time as now`` binds ``now -> time.time``; ``from datetime import
-    datetime`` binds ``datetime -> datetime.datetime``.  Names never
-    bound by an import resolve to ``None``, so locals that shadow a
-    module name do not false-positive.
-    """
-
-    def __init__(self, tree: ast.Module) -> None:
-        self._bindings: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    canonical = alias.name if alias.asname else local
-                    self._bindings[local] = canonical
-            elif isinstance(node, ast.ImportFrom):
-                if node.level or node.module is None:
-                    continue  # relative imports stay repo-internal
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    self._bindings[local] = f"{node.module}.{alias.name}"
-
-    def resolve(self, node: ast.AST) -> Optional[str]:
-        """Canonical dotted path of a Name/Attribute chain, if imported."""
-        chain: List[str] = []
-        current = node
-        while isinstance(current, ast.Attribute):
-            chain.append(current.attr)
-            current = current.value
-        if not isinstance(current, ast.Name):
-            return None
-        base = self._bindings.get(current.id)
-        if base is None:
-            return None
-        chain.append(base)
-        return ".".join(reversed(chain))
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """Literal dotted text of a Name/Attribute chain (no import logic)."""
-    chain: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        chain.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    chain.append(current.id)
-    return ".".join(reversed(chain))
 
 
 def call_name(node: ast.Call) -> Optional[str]:

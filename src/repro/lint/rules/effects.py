@@ -16,14 +16,16 @@ whose invariant is local to one function body):
   reference, or writes module globals breaks replay: the simulator
   hands hooks live ``RunningTask``/machine state and assumes it comes
   back untouched.
-* **mutation-after-freeze** (RPR904–RPR905): objects stored into
-  memo-signature slots (``_sig*`` / ``_cohort*`` / the
-  :data:`~repro.lint.rules.memosafety.MEMO_KEY_FIELDS` slots of a
-  ``__slots__`` class) are hashed once; mutating the stored object
-  afterwards — through any alias — silently desynchronizes the memo
-  key from the state it describes.  RPR202 owns the *direct*
-  ``self._sig... = x`` reassignment; these rules own what it cannot
-  see: capture-then-mutate flows and interior/aliased mutation.
+* **mutation-after-freeze** (RPR904–RPR905): the memo caches are
+  sound only because their keys never change once built — the
+  equilibrium and rate-snapshot memos have no invalidation path.
+  Protected state is every field of a ``@dataclass(frozen=True)``
+  plus the memo-signature slots of a ``__slots__`` class (``_sig*``,
+  ``_cohort*``, and :data:`MEMO_KEY_FIELDS`).  RPR905 flags any write
+  to it outside construction and unpickling — a direct store, an
+  ``object.__setattr__(self, ...)``, an in-place or aliased mutation;
+  RPR904 flags an object mutated after being captured into a
+  signature slot, constructors included.
 * **exception-flow** (RPR906–RPR907): exceptions crossing the
   process-pool boundary must be ``repro.errors`` types (builtin
   tracebacks pickle poorly and lose run context), and deterministic
@@ -38,15 +40,11 @@ the families report only provable violations.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.lint.engine import Finding
-from repro.lint.rules.base import Rule
-from repro.lint.rules.determinism import DETERMINISTIC_LAYERS
-from repro.lint.rules.memosafety import (
-    MEMO_KEY_FIELDS,
-    _REBUILD_METHODS,
-)
+from repro.lint.rules.base import CorpusRule
+from repro.lint.rules.transitive import DETERMINISTIC_LAYERS
 
 __all__ = [
     "PolicyHookArgumentMutationRule",
@@ -56,6 +54,7 @@ __all__ = [
     "SignatureInteriorMutationRule",
     "WorkerExceptionEscapeRule",
     "DeterministicBareExceptionRule",
+    "MEMO_KEY_FIELDS",
 ]
 
 #: Module-level tuple naming the policy plugin contract's hook methods
@@ -64,7 +63,7 @@ __all__ = [
 #: ``POOL_BOUNDARY``.
 _POLICY_HOOKS_NAME = "POLICY_HOOKS"
 
-#: Layers whose files never host production policies or memo state.
+#: Layers whose files never host production policies.
 _SKIPPED_LAYERS = frozenset({"tests", "unknown"})
 
 #: Exception types allowed to escape a pool-worker entry besides
@@ -79,21 +78,36 @@ _SANCTIONED_WORKER_EXCEPTIONS = frozenset(
     }
 )
 
-#: Direct ``self.<slot> = x`` / ``self.<slot> += x`` reassignment is
-#: RPR202's, syntactically; RPR905 owns every other mutation shape.
-_DIRECT_REASSIGN_KINDS = frozenset({"store-attr", "augstore"})
+#: Slot names treated as memo-signature inputs on ``__slots__``
+#: classes besides ``_sig*`` and ``_cohort*``: the dispatch-cached
+#: derived fields of :class:`~repro.sim.engine.RunningTask`.
+MEMO_KEY_FIELDS = frozenset({"demand", "total_units"})
+
+#: Methods allowed to write protected state: construction plus
+#: unpickling (which rebuilds, never mutates live state).
+_REBUILD_METHODS = frozenset(
+    {"__init__", "__post_init__", "__getstate__", "__setstate__"}
+)
+
+#: Mutation kinds that overwrite a field rather than edit its object.
+_DIRECT_WRITES = frozenset({"store-attr", "augstore", "setattr"})
 
 
-def _protected_slots(cls) -> FrozenSet[str]:
-    """Memo-signature slot names of one class (RPR202's scoping)."""
-    if cls.slots is None:
-        return frozenset()
-    return frozenset(
-        name
-        for name in cls.slots
-        if name.startswith("_sig")
-        or name.startswith("_cohort")
-        or name in MEMO_KEY_FIELDS
+def _protects(cls, fieldname: str) -> bool:
+    """Is ``fieldname`` of class ``cls`` frozen after construction?
+
+    Every field of a frozen dataclass (``""`` — the object itself, or
+    a field an ``object.__setattr__`` names dynamically — included),
+    and the memo-signature slots of a ``__slots__`` class.
+    """
+    if cls.frozen:
+        return True
+    if cls.slots is None or fieldname not in cls.slots:
+        return False
+    return (
+        fieldname.startswith("_sig")
+        or fieldname.startswith("_cohort")
+        or fieldname in MEMO_KEY_FIELDS
     )
 
 
@@ -141,16 +155,15 @@ def _policy_surface(graph) -> Tuple[FrozenSet[str], List[Tuple[str, object]]]:
     return frozenset(hooks), policies
 
 
-class _PolicyContractRule(Rule):
+class _PolicyContractRule(CorpusRule):
     """Shared discovery for RPR901–RPR903: walk every hook method of
     every policy class and hand it to :meth:`_check_hook`."""
 
-    corpus_level = True
     needs_graph = True
     needs_effects = True
 
     def __init__(self) -> None:
-        self._findings: List[Finding] = []
+        super().__init__()
         self._graph = None
 
     def consume_graph(self, graph) -> None:
@@ -174,10 +187,6 @@ class _PolicyContractRule(Rule):
 
     def _check_hook(self, analysis, key, node, cls, hook, fx) -> None:
         raise NotImplementedError
-
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)
 
 
 class PolicyHookArgumentMutationRule(_PolicyContractRule):
@@ -313,34 +322,38 @@ class PolicyHookGlobalWriteRule(_PolicyContractRule):
         )
 
 
-class _MemoEffectRule(Rule):
-    """Shared scoping for RPR904–RPR905: per-class protected slots."""
-
-    corpus_level = True
-
-    def __init__(self) -> None:
-        self._findings: List[Finding] = []
+class _MemoEffectRule(CorpusRule):
+    """Shared scoping for RPR904–RPR905: methods of classes with
+    protected state, in every layer."""
 
     def consume_summary(self, summary) -> None:
-        if summary.layer in _SKIPPED_LAYERS:
-            return
-        protected_by_class = {
-            cls.name: _protected_slots(cls) for cls in summary.classes
-        }
+        classes = {cls.name: cls for cls in summary.classes}
         for fx in summary.effects:
-            if fx.class_name is None:
-                continue
-            protected = protected_by_class.get(fx.class_name)
-            if not protected:
-                continue
-            self._collect(summary, fx, protected)
+            cls = _owning_class(classes, fx)
+            if cls is not None and (cls.frozen or cls.slots is not None):
+                self._collect(summary, fx, cls)
 
-    def _collect(self, summary, fx, protected: FrozenSet[str]) -> None:
+    def _collect(self, summary, fx, cls) -> None:
         raise NotImplementedError
 
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)
+
+def _owning_class(classes, fx):
+    """The class whose method (or closure inside one) ``fx`` is.
+
+    A class-body method is qualified by its class (``Outer.Inner.m``),
+    so the longest qualname prefix ending in the class name wins; a
+    method of a function-local class is qualified by the function, so
+    it falls back to the bare class name.
+    """
+    if fx.class_name is None:
+        return None
+    parts = fx.qualname.split(".")
+    for end in range(len(parts) - 1, 0, -1):
+        if parts[end - 1] == fx.class_name:
+            cls = classes.get(".".join(parts[:end]))
+            if cls is not None:
+                return cls
+    return classes.get(fx.class_name)
 
 
 class PostCaptureMutationRule(_MemoEffectRule):
@@ -351,12 +364,12 @@ class PostCaptureMutationRule(_MemoEffectRule):
     family = "mutation-after-freeze"
     severity = "error"
 
-    def _collect(self, summary, fx, protected: FrozenSet[str]) -> None:
+    def _collect(self, summary, fx, cls) -> None:
         # Applies in constructors too: capture-then-mutate is ordering
         # sensitive, and a ctor that appends after storing has already
         # handed the memo a moving target.
         for cm in fx.capture_mutations:
-            if cm.attr not in protected:
+            if not _protects(cls, cm.attr):
                 continue
             chain = cm.chain()
             self._findings.append(
@@ -383,34 +396,43 @@ class PostCaptureMutationRule(_MemoEffectRule):
 
 
 class SignatureInteriorMutationRule(_MemoEffectRule):
-    """RPR905: interior or aliased mutation of a signature slot."""
+    """RPR905: protected state written after construction.
+
+    A store, augmented store, ``del``, or ``object.__setattr__`` on a
+    protected field of ``self``, or an in-place/aliased mutation of the
+    object it holds, anywhere but the rebuild methods.  A deliberate
+    write-once lazy memo attach can be annotated with
+    ``# repro: lint-ok RPR905 -- reason``.
+    """
 
     id = "RPR905"
-    title = "memo-signature slot mutated in place or through an alias"
+    title = "frozen or memo-signature state mutated after construction"
     family = "mutation-after-freeze"
     severity = "error"
 
-    def _collect(self, summary, fx, protected: FrozenSet[str]) -> None:
+    def _collect(self, summary, fx, cls) -> None:
         method = fx.qualname.rpartition(".")[2]
         if method in _REBUILD_METHODS:
-            return  # construction/unpickle legitimately build the slots
+            return  # construction/unpickle legitimately build the state
+        if method not in cls.methods:
+            return  # a closure: its writes through the receiver count in its method
         receiver = fx.params[0] if fx.params else None
         if receiver is None:
             return
         for mutation in fx.mutations:
             if mutation.param != receiver:
                 continue
-            if mutation.field not in protected:
+            if not _protects(cls, mutation.field):
                 continue
-            direct = mutation.via == (receiver,)
-            if direct and mutation.kind in _DIRECT_REASSIGN_KINDS:
-                continue  # the syntactic reassignment is RPR202's
             chain = mutation.chain()
-            shape = (
-                f"in-place ({mutation.kind})"
-                if not (mutation.kind in _DIRECT_REASSIGN_KINDS)
-                else f"through an alias ({mutation.kind})"
-            )
+            if mutation.kind not in _DIRECT_WRITES:
+                shape = f"in place ({mutation.kind})"
+            elif mutation.via == (receiver,):
+                shape = f"by a direct write ({mutation.kind})"
+            else:
+                shape = f"through an alias ({mutation.kind})"
+            state = "frozen dataclass field" if cls.frozen else "memo-signature slot"
+            fieldname = mutation.field or "<the object itself>"
             self._findings.append(
                 Finding(
                     rule=self.id,
@@ -419,33 +441,32 @@ class SignatureInteriorMutationRule(_MemoEffectRule):
                     line=mutation.lineno,
                     col=0,
                     message=(
-                        f"{fx.class_name}.{mutation.field} feeds a memo "
-                        f"signature but is mutated {shape} in {method}(); "
-                        "signature slots are frozen after construction "
-                        "(the snapshot memo has no invalidation path) — "
-                        f"alias chain: {chain}"
+                        f"{cls.name}.{fieldname} is a {state} but is "
+                        f"mutated {shape} in {method}(); it may only be "
+                        "written during __init__/__post_init__ or "
+                        "unpickling (memo keys and cache hashes assume it "
+                        f"never changes) — alias chain: {chain}"
                     ),
                     source_line=(
                         f"{fx.qualname}: {mutation.kind} on "
-                        f"{fx.class_name}.{mutation.field} via {chain}"
+                        f"{cls.name}.{fieldname} via {chain}"
                     ),
                 )
             )
 
 
-class WorkerExceptionEscapeRule(Rule):
+class WorkerExceptionEscapeRule(CorpusRule):
     """RPR906: non-``repro.errors`` exception escapes a pool worker."""
 
     id = "RPR906"
     title = "builtin exception can escape a pool-worker entry"
     family = "exception-flow"
     severity = "error"
-    corpus_level = True
     needs_graph = True
     needs_effects = True
 
     def __init__(self) -> None:
-        self._findings: List[Finding] = []
+        super().__init__()
         self._graph = None
 
     def consume_graph(self, graph) -> None:
@@ -492,22 +513,14 @@ class WorkerExceptionEscapeRule(Rule):
                     )
                 )
 
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)
 
-
-class DeterministicBareExceptionRule(Rule):
+class DeterministicBareExceptionRule(CorpusRule):
     """RPR907: deterministic layer raises bare ``Exception``."""
 
     id = "RPR907"
     title = "bare Exception raised in a deterministic layer"
     family = "exception-flow"
     severity = "error"
-    corpus_level = True
-
-    def __init__(self) -> None:
-        self._findings: List[Finding] = []
 
     def consume_summary(self, summary) -> None:
         if summary.layer not in DETERMINISTIC_LAYERS:
@@ -537,7 +550,3 @@ class DeterministicBareExceptionRule(Rule):
                         ),
                     )
                 )
-
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)

@@ -90,7 +90,6 @@ class MutableDefaultRule(Rule):
     title = "mutable default argument"
     family = "executor-hygiene"
     severity = "error"
-    autofixable = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -20,10 +20,10 @@ finding: the family under-approximates rather than guesses.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from repro.lint.engine import Finding
-from repro.lint.rules.base import Rule
+from repro.lint.rules.base import CorpusRule
 
 __all__ = [
     "NonPicklableSubmissionRule",
@@ -36,18 +36,14 @@ __all__ = [
 _SANCTIONED_MODULES = frozenset({"repro.runtime.telemetry"})
 
 
-class NonPicklableSubmissionRule(Rule):
+class NonPicklableSubmissionRule(CorpusRule):
     """RPR701: pool submission that cannot cross the process boundary."""
 
     id = "RPR701"
     title = "pool submission is not a top-level function"
     family = "pool-safety"
     severity = "error"
-    corpus_level = True
     needs_graph = True
-
-    def __init__(self) -> None:
-        self._findings: List[Finding] = []
 
     def consume_graph(self, graph) -> None:
         for site in graph.pool_call_sites():
@@ -96,19 +92,11 @@ class NonPicklableSubmissionRule(Rule):
             )
         )
 
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)
 
-
-class _WorkerReachableRule(Rule):
+class _WorkerReachableRule(CorpusRule):
     """Shared machinery: walk everything reachable from worker entries."""
 
-    corpus_level = True
     needs_graph = True
-
-    def __init__(self) -> None:
-        self._findings: List[Finding] = []
 
     def consume_graph(self, graph) -> None:
         paths = graph.reachable_from(graph.worker_entry_keys())
@@ -132,10 +120,6 @@ class _WorkerReachableRule(Rule):
 
     def _violations(self, node) -> Iterator[Tuple[int, str]]:
         return iter(())
-
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)
 
 
 class WorkerGlobalMutationRule(_WorkerReachableRule):

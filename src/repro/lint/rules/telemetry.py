@@ -20,11 +20,10 @@ registered event, but it does not count as emitting one.
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
-from repro.lint.engine import FileContext, Finding
-from repro.lint.rules.base import Rule, call_name
+from repro.lint.engine import Finding
+from repro.lint.rules.base import CorpusRule, Rule
 
 __all__ = ["UnregisteredEventRule", "OrphanSchemaRule", "registered_events"]
 
@@ -36,34 +35,14 @@ def registered_events() -> Set[str]:
     return set(EVENT_SCHEMAS)
 
 
-def _emit_sites(tree: ast.Module) -> Iterator[Tuple[ast.AST, str, str]]:
-    """Yield ``(node, event_name, kind)`` for every static event reference.
+class UnregisteredEventRule(CorpusRule):
+    """RPR301: event-name literal not present in ``EVENT_SCHEMAS``.
 
-    ``kind`` is ``"emit"`` for dict-literal sites (records that will be
-    written) and ``"filter"`` for ``event=`` keyword references (reads).
+    Reads the ``event_sites`` of every file's
+    :class:`~repro.lint.graph.summary.ModuleSummary`: dict literals
+    with an ``"event"`` key (``emit``) and ``read_telemetry(event=...)``
+    keywords (``filter``).
     """
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Dict):
-            for key, value in zip(node.keys, node.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and key.value == "event"
-                    and isinstance(value, ast.Constant)
-                    and isinstance(value.value, str)
-                ):
-                    yield value, value.value, "emit"
-        elif isinstance(node, ast.Call) and call_name(node) == "read_telemetry":
-            for keyword in node.keywords:
-                if (
-                    keyword.arg == "event"
-                    and isinstance(keyword.value, ast.Constant)
-                    and isinstance(keyword.value.value, str)
-                ):
-                    yield keyword.value, keyword.value.value, "filter"
-
-
-class UnregisteredEventRule(Rule):
-    """RPR301: event-name literal not present in ``EVENT_SCHEMAS``."""
 
     id = "RPR301"
     title = "event name not registered in EVENT_SCHEMAS"
@@ -71,29 +50,38 @@ class UnregisteredEventRule(Rule):
     severity = "error"
 
     def __init__(self, schemas: Optional[Set[str]] = None) -> None:
+        super().__init__()
         self._schemas = set(schemas) if schemas is not None else None
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def consume_summary(self, summary) -> None:
         known = self._schemas if self._schemas is not None else registered_events()
-        for node, name, kind in _emit_sites(ctx.tree):
-            if name not in known:
-                verb = "emitted" if kind == "emit" else "filtered on"
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"event {name!r} is {verb} here but not registered in "
-                    "EVENT_SCHEMAS; register it (and document it in "
-                    "docs/telemetry.md) or the first validate_record call "
-                    "will reject it",
+        for name, kind, lineno in summary.event_sites:
+            if name in known:
+                continue
+            verb = "emitted" if kind == "emit" else "filtered on"
+            self._findings.append(
+                Finding(
+                    rule=self.id,
+                    severity=self.severity,
+                    path=summary.path,
+                    line=lineno,
+                    col=0,
+                    message=(
+                        f"event {name!r} is {verb} here but not registered in "
+                        "EVENT_SCHEMAS; register it (and document it in "
+                        "docs/telemetry.md) or the first validate_record call "
+                        "will reject it"
+                    ),
+                    source_line=f"{kind} {name}",
                 )
+            )
 
 
 class OrphanSchemaRule(Rule):
     """RPR302: registered schema with no static emit site in the corpus.
 
     Corpus-level: the engine feeds every file's
-    :class:`~repro.lint.graph.summary.ModuleSummary` (whose
-    ``event_sites`` mirror :func:`_emit_sites`) through
+    :class:`~repro.lint.graph.summary.ModuleSummary` through
     :meth:`consume_summary` — in the parent process, so ``--jobs``
     fan-out cannot lose the accumulated state — and the registry
     comparison happens in :meth:`finalize`.  To avoid screaming on

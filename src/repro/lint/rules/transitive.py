@@ -1,41 +1,68 @@
-"""Transitive-determinism rules (RPR601–RPR604).
+"""Determinism rules (RPR102, RPR601–RPR604).
 
-The syntactic determinism rules (RPR101–RPR104) only see a sink when
-it sits *inside* a ``sim``/``memory``/``stream``/``core`` file.  A
-helper one hop away — a root-level utility module, a shared formatter
-— can read the wall clock on the model's behalf without tripping any
-of them.  These rules close that hole: every function in a
-deterministic layer is a reachability root, and any sink the project
-call graph can walk to from there is a finding, anchored at the sink
-with the full call path printed.
+The simulator layers (``sim``, ``memory``, ``stream``, ``core``) must
+be pure functions of their inputs: the chaos-parity CI job diffs a
+fault-injected parallel sweep against the fault-free serial run
+byte-for-byte, and the memoization property tests assert cached ==
+cold float-for-float.  Any wall-clock read, OS-entropy draw,
+environment read, or ``PYTHONHASHSEED``-dependent ``hash()`` those
+layers can execute is a latent parity break.
 
-Division of labour with RPR10x (one finding per sink, never two):
+RPR601–RPR604 make every function of a deterministic layer a
+reachability root and flag any sink the project call graph can walk
+to from there, anchored at the sink with the full call path printed.
+A sink inside a deterministic-layer file is the zero-hop case (its
+path is the one function holding it, module-level code included); a
+helper one hop away — a root-level utility, a shared formatter — is
+caught the same way.  Wall-clock time is legitimate in ``runtime``
+(it measures real executions) as long as no model function reaches it.
 
-* RPR601/603/604 skip sinks whose own file is in a deterministic
-  layer — those are RPR101/103/104's, syntactically;
-* RPR602 owns a disjoint sink set (OS entropy: ``os.urandom``,
-  ``uuid.uuid1/uuid4``, ``secrets.*``) that RPR102's global-RNG
-  tables never covered, so it fires wherever the sink lives.
+RPR102 is the one determinism rule that is not about reachability:
+randomness without an explicit seed breaks replay wherever it runs,
+tests included, so it flags every such call site in every layer.
 
-Findings carry the rendered shortest call path as their
-``source_line``, so baselines key on *which chain* reaches the sink
-and survive unrelated line shifts.
+All five read the facts the summary pass already extracts
+(``calls[].canonical``/``has_args``, ``env_reads``, ``hash_calls``), so
+none of them walks an AST of its own.  Findings carry a stable
+``source_line`` (the rendered call path, or the call and its function)
+so baselines survive unrelated line shifts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from repro.lint.engine import Finding
-from repro.lint.rules.base import Rule
-from repro.lint.rules.determinism import DETERMINISTIC_LAYERS, _WALL_CLOCK
+from repro.lint.rules.base import CorpusRule
 
 __all__ = [
+    "DETERMINISTIC_LAYERS",
+    "UnseededRandomRule",
     "TransitiveWallClockRule",
     "TransitiveEntropyRule",
     "TransitiveEnvironmentRule",
     "TransitiveHashRule",
 ]
+
+#: Layers whose outputs must be bit-reproducible.
+DETERMINISTIC_LAYERS = frozenset({"sim", "memory", "stream", "core"})
+
+_WALL_CLOCK = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
 
 #: OS-entropy sources (disjoint from RPR102's global-RNG tables).
 _OS_ENTROPY = frozenset(
@@ -53,8 +80,109 @@ _OS_ENTROPY = frozenset(
     }
 )
 
+#: ``random`` module functions that draw from the hidden global RNG.
+_GLOBAL_RANDOM = frozenset(
+    {
+        "betavariate",
+        "choice",
+        "choices",
+        "expovariate",
+        "gauss",
+        "getrandbits",
+        "lognormvariate",
+        "normalvariate",
+        "paretovariate",
+        "randbytes",
+        "randint",
+        "random",
+        "randrange",
+        "sample",
+        "shuffle",
+        "triangular",
+        "uniform",
+        "vonmisesvariate",
+        "weibullvariate",
+    }
+)
 
-class _TransitiveRule(Rule):
+#: ``numpy.random`` legacy functions backed by the global state.
+_GLOBAL_NP_RANDOM = frozenset(
+    {
+        "choice",
+        "normal",
+        "permutation",
+        "rand",
+        "randint",
+        "randn",
+        "random",
+        "random_sample",
+        "seed",
+        "shuffle",
+        "standard_normal",
+        "uniform",
+    }
+)
+
+
+def _unseeded(canonical: str, has_args: bool) -> Optional[str]:
+    """RPR102's message for a call to ``canonical``, or ``None``."""
+    module, _, attr = canonical.rpartition(".")
+    if module == "random":
+        if attr in _GLOBAL_RANDOM:
+            return (
+                f"random.{attr}() draws from the hidden global RNG; "
+                "use random.Random(seed) so every run replays"
+            )
+        if attr == "seed" and not has_args:
+            return "random.seed() with no arguments seeds from the OS"
+        if attr == "Random" and not has_args:
+            return "random.Random() without a seed is nondeterministic"
+        if attr == "SystemRandom":
+            return "random.SystemRandom is nondeterministic by design"
+    if module == "numpy.random":
+        if attr == "default_rng" and not has_args:
+            return (
+                "numpy.random.default_rng() without a seed is "
+                "nondeterministic; pass an explicit seed"
+            )
+        if attr in _GLOBAL_NP_RANDOM:
+            return (
+                f"numpy.random.{attr}() uses numpy's global state; "
+                "use numpy.random.default_rng(seed)"
+            )
+    return None
+
+
+class UnseededRandomRule(CorpusRule):
+    """RPR102: randomness with no explicit seed (any layer, tests too)."""
+
+    id = "RPR102"
+    title = "unseeded or global-state randomness"
+    family = "determinism"
+    severity = "error"
+
+    def consume_summary(self, summary) -> None:
+        for function in summary.functions:
+            for call in function.calls:
+                if call.canonical is None:
+                    continue
+                message = _unseeded(call.canonical, call.has_args)
+                if message is None:
+                    continue
+                self._findings.append(
+                    Finding(
+                        rule=self.id,
+                        severity=self.severity,
+                        path=summary.path,
+                        line=call.lineno,
+                        col=0,
+                        message=message,
+                        source_line=f"{call.canonical}() in {function.qualname}",
+                    )
+                )
+
+
+class _TransitiveRule(CorpusRule):
     """Shared reachability machinery for the RPR6xx family.
 
     Subclasses implement :meth:`_sinks` to name the sink sites inside
@@ -62,34 +190,25 @@ class _TransitiveRule(Rule):
     paths.
     """
 
-    corpus_level = True
     needs_graph = True
-
-    #: When False, sinks inside deterministic-layer files are skipped
-    #: (the syntactic RPR10x rule already owns them).
-    flag_inside_deterministic = False
-
-    def __init__(self) -> None:
-        self._findings: List[Finding] = []
 
     def consume_graph(self, graph) -> None:
         roots = [
             node.key for node in graph.nodes_in_layers(DETERMINISTIC_LAYERS)
         ]
         paths = graph.reachable_from(roots)
-        seen: Dict[Tuple[str, int], bool] = {}
+        seen: Set[Tuple[str, int, str]] = set()
         for key in sorted(paths):
             node = graph.node(key)
-            if (
-                not self.flag_inside_deterministic
-                and node.layer in DETERMINISTIC_LAYERS
-            ):
-                continue
             for line, detail in self._sinks(node):
-                if (node.path, line) in seen:
+                if (node.path, line, detail) in seen:
                     continue
-                seen[(node.path, line)] = True
+                seen.add((node.path, line, detail))
                 chain = graph.render_path(paths[key])
+                if len(paths[key]) == 1:
+                    where = f"in deterministic layer {node.layer!r} ({chain})"
+                else:
+                    where = f"is reachable from the deterministic layers via: {chain}"
                 self._findings.append(
                     Finding(
                         rule=self.id,
@@ -97,10 +216,7 @@ class _TransitiveRule(Rule):
                         path=node.path,
                         line=line,
                         col=0,
-                        message=(
-                            f"{detail} is reachable from the deterministic "
-                            f"layers via: {chain}"
-                        ),
+                        message=f"{detail} {where}",
                         source_line=chain,
                     )
                 )
@@ -109,13 +225,9 @@ class _TransitiveRule(Rule):
         """Yield ``(lineno, description)`` for each sink in ``node``."""
         return iter(())
 
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)
-
 
 class TransitiveWallClockRule(_TransitiveRule):
-    """RPR601: wall-clock sink reachable from a deterministic layer."""
+    """RPR601: wall-clock read reachable from a deterministic layer."""
 
     id = "RPR601"
     title = "wall-clock reachable from a deterministic layer"
@@ -135,9 +247,6 @@ class TransitiveEntropyRule(_TransitiveRule):
     title = "OS entropy reachable from a deterministic layer"
     family = "transitive-determinism"
     severity = "error"
-    # RPR102's tables do not cover OS entropy, so this rule owns these
-    # sinks everywhere — deterministic layers included.
-    flag_inside_deterministic = True
 
     def _sinks(self, node) -> Iterator[Tuple[int, str]]:
         for call in node.summary.calls:
@@ -159,7 +268,13 @@ class TransitiveEnvironmentRule(_TransitiveRule):
 
 
 class TransitiveHashRule(_TransitiveRule):
-    """RPR604: built-in ``hash()`` reachable from a deterministic layer."""
+    """RPR604: built-in ``hash()`` reachable from a deterministic layer.
+
+    ``hash(str)`` changes per process under ``PYTHONHASHSEED``
+    randomisation, so any ordering or key derived from it differs
+    between the serial path and pool workers.  Stable content hashes
+    belong to :func:`repro.runtime.cache.stable_hash`.
+    """
 
     id = "RPR604"
     title = "built-in hash() reachable from a deterministic layer"

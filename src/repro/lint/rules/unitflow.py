@@ -1,12 +1,14 @@
-"""Interprocedural unit rules (RPR810–RPR814), the dimflow family.
+"""Unit rules (RPR810–RPR814), the dimflow family.
 
-The expression-local RPR801/802 stop at the call boundary: a
-``*_seconds`` value passed into a parameter named ``budget`` loses its
-unit at the call and every downstream mix-up goes dark.  This family
-consumes the :class:`~repro.lint.dimflow.fixpoint.UnitAnalysis`
+The codebase carries several base dimensions (seconds, bytes, cycles,
+tasks, requests, ...) plus derived rates.  A latency accidentally
+added to a footprint type-checks — both are floats — and produces a
+number that is silently wrong by nine orders of magnitude.  This
+family consumes the :class:`~repro.lint.dimflow.fixpoint.UnitAnalysis`
 fixpoint — one unit signature per function, closed over the project
-call graph — and flags the mismatches only whole-program reasoning
-can see:
+call graph — so a unit survives the call boundary: a ``*_seconds``
+value passed into a parameter named ``budget`` keeps its dimension
+downstream.
 
 * **RPR810** — a resolved call binds an argument whose inferred unit
   disagrees with the callee parameter's *declared* unit (name suffix
@@ -17,29 +19,30 @@ can see:
   different branches;
 * **RPR812** — a class attribute accumulates conflicting units from
   different assignment sites (or its own name suffix);
-* **RPR813** — arithmetic/comparison between two inferred units the
-  local rules could not see (at least one side flows from a parameter
-  or a call), plus augmented ``+=``/``-=`` stores, which the
-  expression-local rules never visit;
+* **RPR813** — ``+``/``-``, a comparison, or an augmented ``+=``/``-=``
+  between two different known units, whether both are visible in the
+  expression (``latency_seconds + footprint_bytes``) or one was
+  inferred through the call graph (the zero-hop and the
+  interprocedural case of one check);
 * **RPR814** — a telemetry emit field whose name carries a unit
   suffix but whose value's inferred unit disagrees.
 
 Every rule treats *unknown* (no evidence) and ``⊤`` (conflicting
 evidence) as silence, and dimensionless (literals, same-unit ratios)
 as compatible with everything — the family only speaks when two
-concrete dimensions provably disagree.  Scoped to the library layers,
-like RPR801/802.
+concrete dimensions provably disagree.  Scoped to the library layers:
+tests compare quantities against telemetry dicts and fixture scalars
+in ways the naming convention was never meant to govern.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.lint.dimflow.algebra import unit_of_name
 from repro.lint.dimflow.model import TOP_UNIT, UnitTerm
-from repro.lint.engine import Finding
-from repro.lint.rules.base import Rule
-from repro.lint.rules.dimensional import _SRC_LAYERS
+from repro.lint.engine import PACKAGE_LAYERS, Finding
+from repro.lint.rules.base import CorpusRule
 from repro.units import UNIT_PARAMS, UNIT_RETURNS
 
 __all__ = [
@@ -56,17 +59,13 @@ def _concrete(unit: Optional[str]) -> bool:
     return bool(unit) and unit != TOP_UNIT
 
 
-class _UnitFlowRule(Rule):
+class _UnitFlowRule(CorpusRule):
     """Shared scaffolding: hold findings, filter to library layers."""
 
     family = "dimflow"
     severity = "error"
-    corpus_level = True
     needs_graph = True
     needs_units = True
-
-    def __init__(self) -> None:
-        self._findings: List[Finding] = []
 
     def consume_units(self, analysis) -> None:
         self._collect(analysis)
@@ -78,7 +77,7 @@ class _UnitFlowRule(Rule):
         return [
             key
             for key in analysis.keys()
-            if analysis.node_layer(key) in _SRC_LAYERS
+            if analysis.node_layer(key) in PACKAGE_LAYERS
         ]
 
     def _emit(
@@ -100,10 +99,6 @@ class _UnitFlowRule(Rule):
                 source_line=source_line,
             )
         )
-
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)
 
 
 class ArgumentUnitMismatchRule(_UnitFlowRule):
@@ -241,7 +236,7 @@ class ConflictingAttributeUnitsRule(_UnitFlowRule):
             sites = [
                 item
                 for item in evidence
-                if _concrete(item.unit) and item.layer in _SRC_LAYERS
+                if _concrete(item.unit) and item.layer in PACKAGE_LAYERS
             ]
             distinct: List = []
             for item in sites:
@@ -262,34 +257,37 @@ class ConflictingAttributeUnitsRule(_UnitFlowRule):
 
 
 class InferredUnitMixRule(_UnitFlowRule):
-    """RPR813: arithmetic/comparison mixes interprocedurally-inferred
-    units the local rules could not see."""
+    """RPR813: arithmetic/comparison between two different known units."""
 
     id = "RPR813"
-    title = "arithmetic/comparison mixes inferred units"
+    title = "arithmetic/comparison mixes incompatible units"
 
     def _collect(self, analysis) -> None:
         for key in self._src_keys(analysis):
             facts = analysis.facts(key)
-            if facts is None or analysis.signature(key).polymorphic:
+            if facts is None:
                 continue
             path = analysis.node_path(key)
             for check in facts.checks:
-                left = analysis.evaluate(key, check.left)
-                right = analysis.evaluate(key, check.right)
-                if not (
-                    _concrete(left)
-                    and _concrete(right)
-                    and left != right
-                ):
+                # Each side is read twice: by the unit inferred for its
+                # value, and by the claim of its names' suffixes (the
+                # expression-local reading).  Either mismatch fires.
+                for suffixes in (False, True):
+                    left = analysis.evaluate(key, check.left, suffixes=suffixes)
+                    right = analysis.evaluate(key, check.right, suffixes=suffixes)
+                    if _concrete(left) and _concrete(right) and left != right:
+                        break
+                else:
                     continue
                 detail = self._flow_detail(analysis, key, check, left, right)
                 self._emit(
                     path,
                     check.lineno,
-                    f"`{check.op}` between {left} and {right}{detail}; the "
-                    "local rules cannot see this mix — one operand's unit "
-                    "was inferred through the call graph",
+                    f"`{check.op}` between {left} and {right}{detail}: "
+                    "quantities in different units never add up or order "
+                    "meaningfully; convert one side explicitly (see "
+                    "repro.units) or rename the variable if its suffix "
+                    "is wrong",
                     source_line=f"{check.op}:{left}:{right}",
                     col=check.col,
                 )

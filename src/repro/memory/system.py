@@ -72,7 +72,7 @@ class MemorySystem:
         solver = self._solver
         if solver is None:
             solver = EquilibriumSolver(self.request_latency)
-            # repro: lint-ok RPR201 -- write-once lazy memo attach; excluded from eq/repr/pickle
+            # repro: lint-ok RPR905 -- write-once lazy memo attach; excluded from eq/repr/pickle
             object.__setattr__(self, "_solver", solver)
         return solver
 

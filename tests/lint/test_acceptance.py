@@ -7,7 +7,7 @@ that no other rule false-positives on otherwise-clean code:
 
 * ``acceptance/wallclock_two_hops`` — a ``time.time()`` call two hops
   below ``sim/engine.py`` (engine -> flow helper -> clock helper, the
-  last two in the root layer where the per-file RPR101 does not look);
+  last two in the root layer, outside every deterministic layer);
 * ``acceptance/teardown_broadened`` — the ``runtime/parallel.py``
   pool-teardown kill loop with its ``except (OSError, ValueError)``
   narrowing deleted in favour of ``except Exception``;
@@ -15,8 +15,8 @@ that no other rule false-positives on otherwise-clean code:
   ``task.demand`` through a local alias (``t = task``), caught by the
   effect analysis with the alias chain in the message;
 * ``acceptance/sig_capture_mutation`` — a list mutated *after* being
-  captured into a ``_sig_*`` slot, inside ``__init__`` where the
-  direct-assignment rule (RPR202) cannot see it;
+  captured into a ``_sig_*`` slot, inside ``__init__``, where writing
+  the slot itself is legitimate (RPR905 exempts construction);
 * ``acceptance/worker_bare_valueerror`` — a ``POOL_BOUNDARY`` worker
   entry raising a builtin ``ValueError`` that would cross the process
   pool raw.

@@ -1,6 +1,7 @@
 """The ``--cache-dir`` scan cache: identity, invalidation, resilience."""
 
 import json
+import shutil
 
 import repro.lint.cache as cache_module
 from repro.lint import LintEngine, build_rules, render_json
@@ -77,20 +78,42 @@ class TestInvalidation:
         report = engine.run([corpus])
         assert report.cache_hits == 0  # different rule set, different keys
 
-    def test_cache_version_bump_invalidates(self, tmp_path, monkeypatch):
+    def test_source_digest_change_invalidates(self, tmp_path, monkeypatch):
+        # Entries written under one analysis-source digest are all
+        # misses under another: a changed extractor can never be
+        # served the summaries its predecessor recorded.
         corpus = make_corpus(tmp_path)
         cache_dir = tmp_path / "cache"
-        run_cached(corpus, cache_dir)
-        monkeypatch.setattr(cache_module, "LINT_CACHE_VERSION", 999)
+        cold = run_cached(corpus, cache_dir)
+        assert run_cached(corpus, cache_dir).cache_hits == cold.files_scanned
+        monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
         warm = run_cached(corpus, cache_dir)
         assert warm.cache_hits == 0
+        assert comparable(warm) == comparable(cold)
 
-    def test_token_folds_version_rules_and_summary_flag(self):
+    def test_source_digest_tracks_the_analysis_source(self, tmp_path, monkeypatch):
+        repro_dir = tmp_path / "repro"
+        shutil.copytree(cache_module._REPRO / "lint", repro_dir / "lint")
+        shutil.copy(cache_module._REPRO / "units.py", repro_dir / "units.py")
+        monkeypatch.setattr(cache_module, "_REPRO", repro_dir)
+        digests = []
+        try:
+            for edited in (None, "lint/dimflow/extract.py", "units.py"):
+                if edited is not None:
+                    path = repro_dir / edited
+                    path.write_text(path.read_text() + "\n# edited\n")
+                cache_module.source_digest.cache_clear()
+                digests.append(cache_module.source_digest())
+        finally:
+            cache_module.source_digest.cache_clear()
+        assert len(set(digests)) == 3
+
+    def test_token_folds_source_rules_and_summary_flag(self):
         rules = build_rules(only=["RPR402"])
         base = cache_token(rules, {"RPR402"}, need_summary=True)
         assert cache_token(rules, {"RPR402"}, need_summary=False) != base
         assert cache_token(rules, {"RPR402", "RPR401"}, True) != base
-        assert f"v{cache_module.LINT_CACHE_VERSION}" in base
+        assert f"src={cache_module.source_digest()}" in base
 
 
 class TestResilience:

@@ -16,7 +16,7 @@ DOCS = pathlib.Path(__file__).resolve().parents[2] / "docs" / "static_analysis.m
 
 _CATALOGUE_ROW = re.compile(
     r"^\| `(?P<id>RPR\d{3})` \| (?P<family>[\w-]+) \| (?P<severity>\w+) "
-    r"\| (?P<autofix>yes|no) \| (?P<title>[^|]+) \|$",
+    r"\| (?P<title>[^|]+) \|$",
     re.MULTILINE,
 )
 _FAMILY_ROW = re.compile(r"^\| (?P<family>[\w-]+) \| (?P<desc>[^|]+) \|$", re.MULTILINE)
@@ -28,7 +28,6 @@ def parse_catalogue():
         rows[match.group("id")] = {
             "family": match.group("family"),
             "severity": match.group("severity"),
-            "autofixable": match.group("autofix") == "yes",
             "title": match.group("title").strip(),
         }
     return rows
@@ -47,7 +46,7 @@ class TestCatalogueParity:
         documented = parse_catalogue()
         for row in rule_catalogue():
             doc = documented[str(row["id"])]
-            for field in ("family", "severity", "autofixable", "title"):
+            for field in ("family", "severity", "title"):
                 assert doc[field] == row[field], (
                     f"docs say {row['id']}.{field} = {doc[field]!r}; "
                     f"the registry says {row[field]!r}"

@@ -51,6 +51,22 @@ class TestLocalExtraction:
         assert mutation.via == ("task", "t")
         assert mutation.chain() == "task -> t"
 
+    def test_object_setattr_is_a_store_to_the_named_field(self):
+        analysis = analyze(
+            {
+                "repro/core/m.py": (
+                    "def f(snap, name):\n"
+                    "    object.__setattr__(snap, 'value', 1)\n"
+                    "    object.__setattr__(snap, name, 2)\n"
+                )
+            }
+        )
+        fx = analysis.function_effects(key_of(analysis, "f"))
+        assert [(m.param, m.field, m.kind) for m in fx.mutations] == [
+            ("snap", "value", "setattr"),
+            ("snap", "", "setattr"),  # dynamic name: the object itself
+        ]
+
     def test_rebinding_an_alias_ends_the_alias(self):
         analysis = analyze(
             {

@@ -35,10 +35,10 @@ class TestExplainDetails:
         assert titles["RPR906"] in text
 
     def test_range_headings_cover_interior_ids(self):
-        # RPR102 is named by no heading directly — only the range
-        # RPR101–RPR104 covers it.
-        section = doc_section_for("RPR102")
-        assert "Determinism" in section.splitlines()[0]
+        # RPR603 is named by no heading directly — only the range
+        # RPR601–RPR604 covers it.
+        section = doc_section_for("RPR603")
+        assert "Transitive determinism" in section.splitlines()[0]
 
     def test_missing_section_degrades_not_fails(self):
         assert doc_section_for("RPR901", docs_text="# no sections here\n") == ""
